@@ -42,9 +42,10 @@ def _mb(kib: int) -> float:
     return kib / 1024.0
 
 
-def _sha256_files(root: Path) -> str:
+def _store_digest(points) -> str:
+    """sha256 over a :class:`PointCache`'s point files, in their sorted order."""
     digest = hashlib.sha256()
-    for path in sorted(p for p in root.glob("*.json") if p.is_file()):
+    for path in points.entries():
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
@@ -83,6 +84,7 @@ def run_campaign_workload(spec: dict) -> dict:
     from repro.runtime.fabric import WorkerFabric
     from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
     from repro.runtime.plan import ExecutionPlan
+    from repro.runtime.points import PointCache
 
     workload, seed, smoke = spec["workload"], spec["seed"], spec["smoke"]
     config = campaign_config(workload, seed, smoke)
@@ -169,16 +171,16 @@ def run_campaign_workload(spec: dict) -> dict:
         _check(checks, "every sweep reached its crash voltage",
                all(e.result.summary.get("crash_mv") is not None for e in entries))
 
-    point_root = Path(cache.point_root)
+    points = PointCache(cache.point_root)
     if spec["tamper"]:
-        victim = sorted(point_root.glob("*.json"))[0]
+        victim = points.entries()[0]
         victim.write_bytes(victim.read_bytes() + b" ")
     result = {
         "t_call_ns": t_call,
         "wall_s": wall_s,
         "rss_peak_mb": rss,
         "worker_rss_peak_mb": worker_rss,
-        "store_digest": _sha256_files(point_root),
+        "store_digest": _store_digest(points),
         "rows_digest": _rows_digest(outcomes),
         "summary": summary,
         "checks": checks,
@@ -308,13 +310,14 @@ def build_store(spec: dict) -> dict:
     from repro.runtime.campaign import run_sweep_campaign
     from repro.runtime.fabric import WorkerFabric
     from repro.runtime.plan import ExecutionPlan
+    from repro.runtime.points import PointCache
 
     config = serve_config(spec["seed"])
     cache = ResultCache(spec["cache_dir"])
     with WorkerFabric(2, blob_root=cache.blob_root):
         for benchmark in serve_benchmarks(spec["smoke"]):
             run_sweep_campaign(benchmark, list(BOARDS), config, ExecutionPlan(jobs=2), cache=cache)
-    return {"points_stored": len(list(Path(cache.point_root).glob("*.json")))}
+    return {"points_stored": len(PointCache(cache.point_root).entries())}
 
 
 def serve_query(spec: dict) -> dict:

@@ -13,7 +13,7 @@ and, in the form ``BENCHMARK.json`` names::
 
 Every measured execution runs in a fresh child process (``e2e_child.py``)
 with the BLAS thread variables taken out of the inherited environment and
-set to ``--blas-threads``.  Each run prints its metrics with units, checks
+set to 1.  Each run prints its metrics with units, checks
 the program's outputs, writes a result file under ``--out``, and ends
 with one JSON line: ``correct``, ``attempted``, ``failed`` and the
 ``BENCHMARK.json`` metrics (end-to-end ones untraced, per-layer ones with
@@ -46,27 +46,29 @@ sys.path.insert(0, str(HERE))
 
 import e2e_loadgen  # noqa: E402
 import e2e_trace  # noqa: E402
+from e2e_child import BOARDS, _check, serve_benchmarks  # noqa: E402
 
 WORKLOADS = ("paper-serial", "fig3-parallel", "sweep-rounds", "serve-open")
 FABRIC = ("fig3-parallel", "sweep-rounds")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: End-to-end metrics: unit, better direction, what it times, the
-#: workloads it applies to, and the regression bound ``compare`` uses
-#: (``BENCHMARK.json`` overrides the bound of the metrics it gates).
-METRICS = {
-    "setup_s": ("s", "lower", "process start to first campaign call; server spawn to first /healthz 200", WORKLOADS, 0.25),
-    "wall_s": ("s", "lower", "campaign call incl. fabric spawn and close; serve: closed-loop batch", WORKLOADS, 0.25),
-    "rss_peak_mb": ("MB", "lower", "peak RSS of the measured process (serve: server VmHWM)", WORKLOADS, 0.10),
-    "worker_rss_peak_mb": ("MB", "lower", "peak RSS of a fabric worker (RUSAGE_CHILDREN)", FABRIC, 0.10),
-    "fail_frac": ("ratio", "lower", "failed operations / attempted", WORKLOADS, 0.0),
-    "p50_ms": ("ms", "lower", "serve latency at 200 req/s, from due time", ("serve-open",), 0.25),
-    "p99_ms": ("ms", "lower", "serve latency at 200 req/s, from due time", ("serve-open",), 0.25),
-    "max_rps": ("req/s", "higher", "highest ladder rate meeting p99 <= 100 ms, no failures, no backlog", ("serve-open",), 0.25),
-    "vmin_err_mv": ("mV", "lower", "|fig3 vmin_mean_mv - 570|", ("paper-serial", "fig3-parallel"), 0.0),
-    "vcrash_err_mv": ("mV", "lower", "|fig3 vcrash_mean_mv - 540|", ("paper-serial", "fig3-parallel"), 0.0),
-    "gain_err": ("x", "lower", "|fig5 gain_at_vmin - 2.6|", ("paper-serial",), 0.0),
+#: End-to-end metrics ``BENCHMARK.json`` does not gate: unit, better
+#: direction, the workloads it applies to, and the regression bound
+#: ``compare`` uses.  The gated ones apply to every workload and take
+#: their unit, direction and bound from ``BENCHMARK.json``.
+EXTRA_METRICS = {
+    "worker_rss_peak_mb": ("MB", "lower", FABRIC, 0.10),
+    "fail_frac": ("ratio", "lower", WORKLOADS, 0.0),
+    "p50_ms": ("ms", "lower", ("serve-open",), 0.25),
+    "p99_ms": ("ms", "lower", ("serve-open",), 0.25),
+    "max_rps": ("req/s", "higher", ("serve-open",), 0.25),
+    "vmin_err_mv": ("mV", "lower", ("paper-serial", "fig3-parallel"), 0.0),
+    "vcrash_err_mv": ("mV", "lower", ("paper-serial", "fig3-parallel"), 0.0),
+    "gain_err": ("x", "lower", ("paper-serial",), 0.0),
 }
+
+#: ``compare`` calls a verdict only over at least this many seed pairs.
+MIN_PAIRS = 10
 
 #: Open-loop rate ladder (req/s) of ``serve-open``.
 RATES = (100, 200, 400, 600, 800)
@@ -87,17 +89,22 @@ def load_spec() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
+def end_to_end_metrics(spec: dict) -> dict[str, tuple]:
+    """Every end-to-end metric: unit, better direction, workloads, bound."""
+    gated = {e["name"]: (e["unit"], e["better"], WORKLOADS, e["bound"]) for e in spec["end_to_end"]}
+    return {**gated, **EXTRA_METRICS}
+
+
 # ----------------------------------------------------------------------
 # Child processes
 # ----------------------------------------------------------------------
 
 
-def child_env(blas_threads: str) -> tuple[dict, dict]:
-    """The children's environment, and the BLAS variables it replaced."""
+def child_env() -> tuple[dict, dict]:
+    """The children's environment (one BLAS thread), and the BLAS variables it replaced."""
     env = dict(os.environ)
     inherited = {k: env.pop(k) for k in BLAS_VARS if k in env}
-    if blas_threads != "default":
-        env.update({k: blas_threads for k in BLAS_VARS})
+    env.update({k: "1" for k in BLAS_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env, inherited
 
@@ -192,10 +199,6 @@ def _campaign_spec(args, workload, tmp, index, trace_dir) -> dict:
     }
 
 
-def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
-    checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-
 def merge_checks(checks: list, new: list) -> None:
     """Fold per-execution checks into one entry per name (first failure kept)."""
     by_name = {c["name"]: c for c in checks}
@@ -277,9 +280,9 @@ def run_serve(args, traced: bool, env: dict, tmp: Path) -> dict:
     store = tmp / "store"
     base = {"seed": seed, "smoke": smoke, "cache_dir": str(store)}
     built = run_child({"action": "build-store", **base}, env)
-    benchmarks = ["vggnet"] if smoke else ["vggnet", "googlenet", "alexnet", "resnet50", "inception"]
-    batch = e2e_loadgen.request_mix(seed, SMOKE_BATCH if smoke else BATCH, benchmarks, [0, 1, 2])
-    ladder_urls = e2e_loadgen.request_mix(seed + 1, 4000, benchmarks, [0, 1, 2])
+    benchmarks, boards = serve_benchmarks(smoke), list(BOARDS)
+    batch = e2e_loadgen.request_mix(seed, SMOKE_BATCH if smoke else BATCH, benchmarks, boards)
+    ladder_urls = e2e_loadgen.request_mix(seed + 1, 4000, benchmarks, boards)
     step_s = 0.3 if smoke else LADDER_SHARE * args.seconds / len(RATES)
     checks: list = []
 
@@ -409,14 +412,13 @@ def metadata(args, inherited: dict) -> dict:
         "git_sha": sha,
         "blas": blas,
         "blas_env_inherited": inherited,
-        "blas_threads": args.blas_threads,
         "seconds": args.seconds,
         "smoke": args.smoke,
     }
 
 
 def run_workload(args, workload: str, traced: bool, spec: dict) -> dict:
-    env, inherited = child_env(args.blas_threads)
+    env, inherited = child_env()
     tmp = OUT / "tmp" / f"{workload}-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
@@ -446,7 +448,7 @@ def report(result: dict, spec: dict) -> None:
     print(f"\n== {workload} (seed {result['seed']}{', traced' if result['traced'] else ''})")
     if "error" in result:
         print(f"   ERROR: {result['error']}")
-    for name, (unit, better, _what, applies, _bound) in METRICS.items():
+    for name, (unit, better, applies, _bound) in end_to_end_metrics(spec).items():
         if workload in applies and name in result["metrics"]:
             print(f"   {name:<22} {result['metrics'][name]:>14.6g} {unit:<6} ({better} is better)")
     layers = result.get("layers")
@@ -491,15 +493,23 @@ def contract_line(result: dict, traced: bool, spec: dict) -> dict:
 # ----------------------------------------------------------------------
 
 
-def load_runs(directory: Path) -> dict[str, list[dict]]:
-    """Untraced result files of a directory, per workload, in seed order."""
-    runs: dict[str, list[dict]] = {}
+def load_runs(directory: Path) -> dict[str, dict[int, dict]]:
+    """Untraced result files of a directory, per workload and seed.
+
+    ``compare`` pairs runs by seed, so a second untraced run of one
+    workload and seed is an error: which of them to pair would be a guess.
+    """
+    runs: dict[str, dict[int, dict]] = {}
     for path in sorted(directory.glob("*.json")):
         result = json.loads(path.read_text())
-        if not result.get("traced"):
-            runs.setdefault(result["workload"], []).append(result)
-    for group in runs.values():
-        group.sort(key=lambda r: r["seed"])
+        if result.get("traced"):
+            continue
+        by_seed = runs.setdefault(result["workload"], {})
+        if result["seed"] in by_seed:
+            raise ValueError(
+                f"{directory}: more than one {result['workload']} run for seed {result['seed']}"
+            )
+        by_seed[result["seed"]] = result
     return runs
 
 
@@ -510,20 +520,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> tuple[str, float]:
+def verdict(pairs: list[tuple[float, float]], better: str, bound: float) -> tuple[str, float]:
     """improved / unchanged / regressed / unresolved, and the win fraction.
 
-    Improved: the change wins at least 9 of 10 pairs (ties count for
+    ``pairs`` holds one (parent, change) value per seed.  Fewer than
+    ``MIN_PAIRS`` pairs are unresolved.  A metric with bound 0 is
+    deterministic per seed: unchanged when every pair is equal, improved
+    when the change wins at least 9 of 10 pairs, regressed otherwise.
+    For the others, improved: at least 9 of 10 pairs won (ties count for
     neither) and the medians differ by more than the parent's IQR.
-    Regressed: the change's median is worse by more than ``bound`` of the
-    parent's.  Unresolved: the parent's own spread is wider than the
-    bound, unless every change run beats every parent run.
+    Unresolved: the parent's own spread is wider than the bound, unless
+    every change run beats every parent run.  Regressed: the change's
+    median is worse by more than ``bound`` of the parent's.
     """
     sign = 1.0 if better == "higher" else -1.0
+    wins = sum(1 for p, c in pairs if sign * (c - p) > 0) / max(1, len(pairs))
+    if len(pairs) < MIN_PAIRS:
+        return "unresolved", wins
+    if bound == 0:
+        if all(p == c for p, c in pairs):
+            return "unchanged", wins
+        return ("improved" if wins >= 0.9 else "regressed"), wins
+    parent, change = [p for p, _ in pairs], [c for _, c in pairs]
     p1, pm, p3 = quartiles(parent)
-    _, cm, _ = quartiles(change)
-    pairs = list(zip(parent, change))
-    wins = sum(1 for p, c in pairs if sign * (c - p) > 0) / len(pairs)
+    cm = statistics.median(change)
     gain = sign * (cm - pm)
     allowed = bound * abs(pm)
     all_better = min(sign * c for c in change) > max(sign * p for p in parent)
@@ -537,29 +557,37 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
 
 def compare(parent_dir: Path, change_dir: Path, spec: dict) -> int:
-    bounds = {e["name"]: e["bound"] for e in spec["end_to_end"]}
-    parent, change = load_runs(parent_dir), load_runs(change_dir)
+    try:
+        parent, change = load_runs(parent_dir), load_runs(change_dir)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{'workload':<14} {'metric':<20} {'parent med [q1, q3]':<32} "
-          f"{'change med [q1, q3]':<32} {'wins':>5}  verdict")
+          f"{'change med [q1, q3]':<32} {'pairs':>5} {'wins':>5}  verdict")
     regressed = False
     for workload in WORKLOADS:
-        if workload not in parent or workload not in change:
-            continue
-        for name, (unit, better, _what, applies, bound) in METRICS.items():
-            if workload not in applies:
+        p_runs, c_runs = parent.get(workload, {}), change.get(workload, {})
+        unpaired = sorted(p_runs.keys() ^ c_runs.keys())
+        if unpaired:
+            print(f"{workload}: seeds without a pair, left out: {unpaired}")
+        seeds = sorted(p_runs.keys() & c_runs.keys())
+        for name, (unit, better, applies, bound) in end_to_end_metrics(spec).items():
+            pairs = [
+                (p_runs[s]["metrics"][name], c_runs[s]["metrics"][name]) for s in seeds
+                if name in p_runs[s]["metrics"] and name in c_runs[s]["metrics"]
+            ]
+            if workload not in applies or not pairs:
                 continue
-            pv = [r["metrics"][name] for r in parent[workload] if name in r["metrics"]]
-            cv = [r["metrics"][name] for r in change[workload] if name in r["metrics"]]
-            if not pv or not cv:
-                continue
-            result, wins = verdict(pv, cv, better, bounds.get(name, bound))
+            result, wins = verdict(pairs, better, bound)
             regressed |= result == "regressed"
             fmt = lambda v: "{1:.4g} [{0:.4g}, {2:.4g}] {unit}".format(*quartiles(v), unit=unit)  # noqa: E731
-            print(f"{workload:<14} {name:<20} {fmt(pv):<32} {fmt(cv):<32} {wins:>5.2f}  {result}")
+            pv, cv = [p for p, _ in pairs], [c for _, c in pairs]
+            print(f"{workload:<14} {name:<20} {fmt(pv):<32} {fmt(cv):<32} "
+                  f"{len(pairs):>5} {wins:>5.2f}  {result}")
     return 1 if regressed else 0
 
 
-def history(results_dir: Path, out: Path) -> int:
+def history(results_dir: Path, out: Path, spec: dict) -> int:
     """Aggregate result files into one trajectory point (medians, layer shares)."""
     point: dict = {"workloads": {}}
     for path in sorted(results_dir.glob("*.json")):
@@ -578,10 +606,11 @@ def history(results_dir: Path, out: Path) -> int:
         entry["runs"] += 1
         for name, value in result["metrics"].items():
             entry["metrics"].setdefault(name, []).append(value)
+    units = {name: unit for name, (unit, *_rest) in end_to_end_metrics(spec).items()}
     for workload in point["workloads"].values():
         for entry in workload.values():
             entry["metrics"] = {
-                name: dict(zip(("q1", "median", "q3"), quartiles(values)), unit=METRICS[name][0])
+                name: dict(zip(("q1", "median", "q3"), quartiles(values)), unit=units[name])
                 for name, values in entry["metrics"].items()
             }
     point["meta"].pop("smoke", None)
@@ -601,9 +630,6 @@ def _add_run_flags(parser, spec: dict) -> None:
                         help="measured seconds per workload (default from BENCHMARK.json)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny inputs and the fewest executions (the tier-1 test)")
-    parser.add_argument("--blas-threads", default="1",
-                        help="BLAS threads in every child, or 'default' to leave the "
-                             "library's own choice (default 1)")
     parser.add_argument("--out", type=Path, default=OUT / "runs",
                         help="directory for result files (default out/runs)")
     parser.add_argument("--tamper-store", action="store_true", help=argparse.SUPPRESS)
@@ -640,7 +666,7 @@ def main(argv: list[str]) -> int:
         if args.command == "compare":
             return compare(args.parent, args.change, spec)
         if args.command == "history":
-            return history(args.results, args.out)
+            return history(args.results, args.out, spec)
         workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
         traced = args.command == "trace"
     if args.smoke:
