@@ -1,31 +1,33 @@
-"""Execution-fabric benchmarks: warm leased pools vs per-call pools.
+"""Execution-fabric benchmarks: warm leased pools vs a pool per round.
 
 The workload is the paper's characterization shape made adversarial for
 the executor: a **repeats-heavy adaptive fig3 fleet** — every
 (benchmark, board) pair swept from 620 mV to crash with the adaptive
-strategy at 10 fault realizations per point — where *every voltage probe
-is dispatched to a worker process*, exactly how the warm-worker fabric
-runs sweeps (``run_sweep_campaign(dispatch="point")``) and how the
-characterization service computes misses.  The parent drives the sweep
-over a model-free :class:`~repro.runtime.campaign.RemoteSweepSession`:
-models live in the workers, which is where the two execution modes
-differ.
+strategy at 10 fault realizations per point — where *every sweep round
+is dispatched to a worker process* as one
+:func:`~repro.runtime.campaign.measure_round_task`, exactly how the
+warm-worker fabric runs sweeps (``run_sweep_campaign`` under
+``ExecutionPlan(dispatch="point")``, via
+:func:`~repro.runtime.campaign.run_sweep_unit_remote`).  The parent
+drives the sweep over a model-free
+:class:`~repro.runtime.campaign.RemoteSweepSession`: models live in the
+workers, which is where the two execution modes differ.
 
-Two executions of the identical probe sequence are timed:
+Two executions of the identical round sequence are timed:
 
-* **cold** — every probe round gets a fresh pool, which is what the
-  historical per-call executor did between rounds: each probe pays pool
-  spawn plus a cold worker's model build and clean-pass capture, and
-  the worker's warm state dies before the next probe can use it;
+* **cold** — every round gets a fresh pool, closed when the round
+  returns: each round pays pool spawn plus a cold worker's model build
+  and clean-pass capture, and the worker's warm state dies before the
+  next round can use it;
 * **warm** — one :class:`~repro.runtime.fabric.WorkerFabric` leased
-  across the whole fleet (workers pre-warmed on one fault-free probe
-  per pair), so probes reach workers whose memoized models and
+  across the whole fleet (workers pre-warmed on one fault-free point
+  per pair), so rounds reach workers whose memoized models and
   fabric-scope clean passes persist across every bisection round.
 
 The acceptance contract, gated by ``benchmarks/baselines/ci.json`` via
 ``scripts/check_bench_regression.py``:
 
-* warm and cold visit the **same probes** and detect the **same
+* warm and cold execute the **same points** and detect the **same
   landmarks** (asserted in the test body — the fabric is an
   acceleration, not a semantic);
 * the warm fabric is **>=2x faster wall-clock** (a ci.json speedup gate
@@ -45,11 +47,10 @@ import time
 import pytest
 
 from repro.core.regions import detect_regions
-from repro.core.undervolt import VoltageSweep
-from repro.errors import BoardHangError
+from repro.core.undervolt import PlannedPoint, VoltageSweep
 from repro.models.zoo import _build_cached, build
 from repro.runtime.blobs import BlobStore, blob_plane
-from repro.runtime.campaign import measure_point_task, remote_sweep_session
+from repro.runtime.campaign import measure_round_task, remote_sweep_session
 from repro.runtime.executor import run_tasks
 from repro.runtime.fabric import WorkerFabric
 
@@ -72,9 +73,9 @@ def _bench_config(config):
 
     The evaluation set is halved relative to the bench default: this
     bench stresses what the fabric amortizes — pool spawn, model build,
-    clean-pass capture per probe — and the per-realization cone math is
+    clean-pass capture per round — and the per-realization cone math is
     identical on both paths by construction (asserted via landmark and
-    probe-count equality), so keeping it dominant would only dilute the
+    point-count equality), so keeping it dominant would only dilute the
     executor signal with simulator arithmetic.
     """
     return config.with_overrides(
@@ -82,42 +83,42 @@ def _bench_config(config):
     )
 
 
-def _dispatching_measure(benchmark, board, config, fabric_for_probe):
-    """A probe fn shipping every voltage to a worker, like point dispatch.
+def _dispatching_round_measure(benchmark, board, config, fabric_for_round):
+    """A round executor shipping every round to a worker, like point dispatch.
 
-    ``fabric_for_probe()`` returns ``(fabric, owned)`` per probe: the
+    The same task and wire form :func:`run_sweep_unit_remote` uses.
+    ``fabric_for_round()`` returns ``(fabric, owned)`` per round: the
     warm path returns the leased fabric, the cold path a fresh one that
-    is closed after the probe — the per-call-pool lifecycle the fabric
-    replaces.
+    is closed after the round.
     """
 
     scope = f"bench:{benchmark}:board{board}"
 
-    def measure(v_mv):
-        fabric, owned = fabric_for_probe()
-        task_args = (benchmark, board, v_mv, None, config, None, scope, None)
+    def measure_round(points):
+        fabric, owned = fabric_for_round()
+        wire = tuple((p.index, p.v_mv, p.mode) for p in points)
+        task_args = (benchmark, board, wire, None, config, None, scope, None)
         try:
-            outcomes = run_tasks([(measure_point_task, task_args)], fabric=fabric)
+            outcomes = run_tasks([(measure_round_task, task_args)], fabric=fabric)
         finally:
             if owned:
                 fabric.close()
-        hang, measurement = outcomes[0].value
-        if hang:
-            raise BoardHangError(f"dispatched probe hung at {v_mv} mV", vccint_v=v_mv / 1000.0)
-        return measurement
+        return {index: (kind, m) for index, kind, m in outcomes[0].value}
 
-    return measure
+    return measure_round
 
 
-def fleet_point_sweeps(config, fabric_for_probe):
-    """fig3's landmark search with every probe dispatched to a pool."""
+def fleet_point_sweeps(config, fabric_for_round):
+    """fig3's landmark search with every round dispatched to a pool."""
     landmarks = {}
     points_executed = 0
     for name in BENCHMARKS:
         for board in range(config.cal.n_boards):
             session = remote_sweep_session(name, board, config)
-            measure = _dispatching_measure(name, board, config, fabric_for_probe)
-            sweep = VoltageSweep(session, config).run(start_mv=START_MV, measure=measure)
+            measure_round = _dispatching_round_measure(name, board, config, fabric_for_round)
+            sweep = VoltageSweep(session, config).run(
+                start_mv=START_MV, measure_round=measure_round
+            )
             regions = detect_regions(sweep, accuracy_tolerance=config.accuracy_tolerance)
             landmarks[(name, board)] = (
                 regions.vmin_mv,
@@ -130,7 +131,7 @@ def fleet_point_sweeps(config, fabric_for_probe):
 
 @pytest.mark.benchmark(group="executor")
 def test_fig3_fleet_point_probes_cold_pools(benchmark, config):
-    """Baseline: a fresh pool per probe round (per-call executor)."""
+    """Baseline: a fresh pool per sweep round."""
     cfg = _bench_config(config)
 
     def cold_fabric():
@@ -145,19 +146,20 @@ def test_fig3_fleet_point_probes_cold_pools(benchmark, config):
 
 @pytest.mark.benchmark(group="executor")
 def test_fig3_fleet_point_probes_warm_fabric(benchmark, config):
-    """One leased fabric across the fleet: warm workers for every probe."""
+    """One leased fabric across the fleet: warm workers for every round."""
     cfg = _bench_config(config)
     with WorkerFabric(JOBS) as fabric:
 
         def warm_fabric():
             return fabric, False
 
-        # Warm-up: one fault-free probe per (benchmark, board) builds the
+        # Warm-up: one fault-free point per (benchmark, board) builds the
         # workers' models before the timer — the one-time cost leasing
         # amortizes over the campaign.
         for name in BENCHMARKS:
             for board in range(cfg.cal.n_boards):
-                _dispatching_measure(name, board, cfg, warm_fabric)(START_MV)
+                warm_round = _dispatching_round_measure(name, board, cfg, warm_fabric)
+                warm_round([PlannedPoint(0, START_MV)])
 
         landmarks, points = run_once(benchmark, lambda: fleet_point_sweeps(cfg, warm_fabric))
         assert fabric.pools_spawned == 1, "the lease must never respawn"
@@ -170,7 +172,7 @@ def test_fig3_fleet_point_probes_warm_fabric(benchmark, config):
 
         _RECORD["cold"] = fleet_point_sweeps(cfg, cold_fabric)
     cold_landmarks, cold_points = _RECORD["cold"]
-    # The fabric is an acceleration, never a semantic: identical probe
+    # The fabric is an acceleration, never a semantic: identical point
     # counts and identical landmarks on every (benchmark, board) pair.
     assert landmarks == cold_landmarks
     assert points == cold_points

@@ -3,8 +3,8 @@
 Three measurements around the fig3 campaign (five independent fleet
 sweeps, the runtime's showcase shard plan):
 
-* serial baseline — ``run_campaign(jobs=1)``, the historical loop;
-* parallel — ``jobs=5``, one worker per benchmark shard;
+* serial baseline — ``ExecutionPlan(jobs=1)``, the historical loop;
+* parallel — ``ExecutionPlan(jobs=5)``, one worker per benchmark shard;
 * warm cache — the same campaign against a pre-warmed result cache,
   which must cost milliseconds, not sweep time.
 
@@ -16,6 +16,7 @@ import pytest
 
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import run_campaign
+from repro.runtime.plan import ExecutionPlan
 
 from conftest import run_once
 
@@ -25,7 +26,7 @@ EXPERIMENT = "fig3"
 @pytest.mark.benchmark(group="runtime")
 def test_campaign_serial(benchmark, config, record_result):
     outcome = run_once(
-        benchmark, lambda: run_campaign([EXPERIMENT], config, jobs=1)
+        benchmark, lambda: run_campaign([EXPERIMENT], config, ExecutionPlan(jobs=1))
     )
     record_result(outcome.entries[0].result)
 
@@ -33,7 +34,7 @@ def test_campaign_serial(benchmark, config, record_result):
 @pytest.mark.benchmark(group="runtime")
 def test_campaign_parallel(benchmark, config):
     outcome = run_once(
-        benchmark, lambda: run_campaign([EXPERIMENT], config, jobs=5)
+        benchmark, lambda: run_campaign([EXPERIMENT], config, ExecutionPlan(jobs=5))
     )
     entry = outcome.entries[0]
     assert entry.n_shards == 5

@@ -29,6 +29,7 @@ import time
 from repro.analysis.report import generate_report
 from repro.core.experiment import ExperimentConfig
 from repro.runtime.cache import DEFAULT_CACHE_DIR, ResultCache
+from repro.runtime.plan import ExecutionPlan
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -63,7 +64,7 @@ def main() -> int:
     )
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     started = time.time()
-    report = generate_report(config, jobs=args.jobs, cache=cache)
+    report = generate_report(config, plan=ExecutionPlan(jobs=args.jobs), cache=cache)
     target = pathlib.Path(args.out)
     target.write_text(report)
     cache_note = (

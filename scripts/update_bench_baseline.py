@@ -78,11 +78,11 @@ SPEEDUP_GATES = [
         "slow": "benchmarks/bench_executor.py::test_fig3_fleet_point_probes_cold_pools",
         "min_ratio": 2.0,
         "why": "warm-worker execution fabric: a repeats-heavy adaptive "
-               "fig3 fleet with every probe dispatched to workers must "
-               "run >=2x faster on one leased pool (warm models + "
-               "fabric-scope clean passes) than on a fresh pool per "
-               "probe round; the bench body additionally asserts "
-               "identical landmarks and probe counts",
+               "fig3 fleet with every sweep round dispatched to workers "
+               "as one measure_round_task must run >=2x faster on one "
+               "leased pool (warm models + fabric-scope clean passes) "
+               "than on a fresh pool per round; the bench body "
+               "additionally asserts identical landmarks and point counts",
     },
     {
         "fast": "benchmarks/bench_fleet.py::test_fleet_sharded_fabric",

@@ -26,6 +26,7 @@ from repro.experiments.registry import ExperimentResult
 from repro.fleet.report import fleet_payload, render_fleet_markdown
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import DEFAULT_ORDER, CampaignOutcome, run_campaign
+from repro.runtime.plan import ExecutionPlan
 from repro.version import __version__
 
 __all__ = [
@@ -180,17 +181,14 @@ def generate_report(
     config: ExperimentConfig,
     experiment_ids: Iterable[str] | None = None,
     row_limit: int = 40,
-    plan=None,
+    plan: ExecutionPlan | None = None,
     cache: ResultCache | None = None,
     journal=None,
-    *,
-    jobs: int | str | None = None,
 ) -> str:
     """Run every experiment (parallel, cached) and render the report.
 
-    ``plan`` is an :class:`~repro.runtime.plan.ExecutionPlan` (or a bare
-    jobs count, accepted for compatibility); the legacy ``jobs=`` kwarg
-    still works but is deprecated.
+    ``plan`` is an :class:`~repro.runtime.plan.ExecutionPlan`; ``None``
+    means the default plan.
 
     The rendered experiment sections are a pure function of
     ``(config, version)``: whether a result arrived from the experiment
@@ -202,5 +200,5 @@ def generate_report(
     against the same cache dir.
     """
     ids = tuple(experiment_ids) if experiment_ids is not None else DEFAULT_ORDER
-    outcome = run_campaign(ids, config, plan, cache=cache, journal=journal, jobs=jobs)
+    outcome = run_campaign(ids, config, plan, cache=cache, journal=journal)
     return render_campaign_report(outcome, row_limit=row_limit)

@@ -26,11 +26,11 @@ Execution is *round-based* (the plan/execute split): a strategy is a
 generator (:meth:`GridStrategy.plan_rounds` /
 :meth:`AdaptiveStrategy.plan_rounds`) yielding rounds of
 :class:`PlannedPoint` plans and receiving per-point outcomes back, and a
-round executor decides how a round runs — serially against a
-:class:`SweepProbe`, batched in-process through one stacked engine pass
-(:func:`repro.runtime.points.cached_round_measure`), or shipped to a
-worker fabric as a single task per round
-(:func:`repro.runtime.campaign.run_sweep_unit_remote`).  Plans come in
+round executor decides where a round runs — in-process through one
+stacked engine pass (:func:`repro.runtime.points.cached_round_measure`),
+or shipped to a worker fabric as a single task per round
+(:func:`repro.runtime.campaign.run_sweep_unit_remote`, whose worker runs
+the same executor).  Plans come in
 two modes: ``"measure"`` asks for the point's full Measurement, while
 ``"probe"`` asks only what the board dance already knows — whether the
 point is alive and whether its fault rate is zero.  A zero-rate probe is
@@ -102,25 +102,6 @@ def drive_rounds(gen, execute_round) -> tuple[list[Measurement], float | None, i
     except StopIteration as stop:
         measurements, crash_mv = stop.value
         return measurements, crash_mv, rounds
-
-
-def _probe_round_executor(probe: "SweepProbe"):
-    """Serial round executor over a :class:`SweepProbe` (one point at a time)."""
-
-    def execute(points: list[PlannedPoint]) -> dict:
-        outcomes: dict[int, tuple] = {}
-        for point in points:
-            if point.mode == "probe":
-                outcome = probe.probe_point(point.v_mv)
-            else:
-                m = probe.measure(point.v_mv)
-                outcome = ("hang", None) if m is None else ("measurement", m)
-            outcomes[point.index] = outcome
-            if outcome[0] == "hang":
-                break
-        return outcomes
-
-    return execute
 
 
 @dataclass(frozen=True)
@@ -271,76 +252,6 @@ class SweepResult:
         return self.points[-1]
 
 
-class SweepProbe:
-    """Measurement access for strategies: hang handling plus memoization.
-
-    ``measure(v_mv)`` returns the point's :class:`Measurement`, or ``None``
-    when the board hangs there (after power-cycling it, as the paper's
-    recovery procedure does).  Results are memoized per voltage so a
-    strategy can revisit a point for free, and ``executed`` counts the
-    points this sweep evaluated (memoized revisits excluded; when a point
-    cache is active its :class:`~repro.runtime.points.PointStats`
-    additionally splits evaluations into replays and fresh computes).
-    """
-
-    def __init__(self, session: AcceleratorSession, measure, probe=None):
-        self.session = session
-        self._measure = measure
-        self._probe = probe
-        self._memo: dict[float, Measurement | None] = {}
-        self._probe_memo: dict[float, tuple] = {}
-        self.executed = 0
-        self.hangs = 0
-        self.liveness = 0
-
-    def measure(self, v_mv: float) -> Measurement | None:
-        """Measure one voltage (memoized); ``None`` records a board hang."""
-        key = round(v_mv, 6)
-        if key in self._memo:
-            return self._memo[key]
-        try:
-            outcome = self._measure(v_mv)
-            self.executed += 1
-        except BoardHangError:
-            self.session.board.power_cycle()
-            self.hangs += 1
-            outcome = None
-        self._memo[key] = outcome
-        return outcome
-
-    def probe_point(self, v_mv: float) -> tuple:
-        """Probe one voltage (memoized): liveness and fault regime only.
-
-        Returns a :class:`PlannedPoint` probe outcome — ``("measurement",
-        m)`` when the point is provably fault-free, ``("alive", None)``
-        when alive but faulty, ``("hang", None)`` on a hang (after
-        power-cycling).  Without a dedicated ``probe`` callable this
-        degrades to a full measurement, which is correct for every
-        strategy (a probe that over-delivers accuracy data is still a
-        probe) — the dispatched-measure sweep path keeps exactly its
-        historical cost that way.
-        """
-        key = round(v_mv, 6)
-        if key in self._probe_memo:
-            return self._probe_memo[key]
-        if self._probe is None:
-            m = self.measure(v_mv)
-            outcome = ("hang", None) if m is None else ("measurement", m)
-        else:
-            try:
-                outcome = self._probe(v_mv)
-                if outcome[0] == "measurement":
-                    self.executed += 1
-                else:
-                    self.liveness += 1
-            except BoardHangError:
-                self.session.board.power_cycle()
-                self.hangs += 1
-                outcome = ("hang", None)
-        self._probe_memo[key] = outcome
-        return outcome
-
-
 def _deepest_index(start_mv: float, floor_mv: float, resolution_mv: float) -> int:
     """Deepest grid index still at or above the floor."""
     return int((start_mv - floor_mv) / resolution_mv + 1e-9)
@@ -389,16 +300,6 @@ class GridStrategy:
                 measured[i] = outcome[1]
             index = advanced
         return [measured[j] for j in sorted(measured)], None
-
-    def run(
-        self, probe: SweepProbe, start_mv: float, floor_mv: float
-    ) -> tuple[list[Measurement], float | None]:
-        """Walk every grid point down; returns ``(points, crash_mv)``."""
-        measurements, crash_mv, _rounds = drive_rounds(
-            self.plan_rounds(start_mv, floor_mv, point_batch=1),
-            _probe_round_executor(probe),
-        )
-        return measurements, crash_mv
 
 
 @dataclass(frozen=True)
@@ -620,16 +521,6 @@ class AdaptiveStrategy:
                 break
         return finish(hang_idx)
 
-    def run(
-        self, probe: SweepProbe, start_mv: float, floor_mv: float
-    ) -> tuple[list[Measurement], float | None]:
-        """Coarse-descend then refine; returns ``(points, crash_mv)``."""
-        measurements, crash_mv, _rounds = drive_rounds(
-            self.plan_rounds(start_mv, floor_mv, point_batch=1),
-            _probe_round_executor(probe),
-        )
-        return measurements, crash_mv
-
 
 def sweep_strategy(
     config: ExperimentConfig, step_mv: float | None = None
@@ -660,7 +551,6 @@ class VoltageSweep:
         step_mv: float | None = None,
         f_mhz: float | None = None,
         strategy: GridStrategy | AdaptiveStrategy | None = None,
-        measure=None,
         measure_round=None,
         point_batch: int | None = None,
     ) -> SweepResult:
@@ -686,11 +576,7 @@ class VoltageSweep:
         bisection round alike — as *one* task on a leased worker fabric
         (:func:`repro.runtime.campaign.run_sweep_unit_remote`); a
         dispatched round is bit-identical to a local one and the strategy
-        cannot tell the difference.  ``measure`` is the historical
-        per-point override (``measure(v_mv) -> Measurement``, raising
-        :class:`~repro.errors.BoardHangError` on a hang); when given, the
-        sweep degrades to serial per-point execution with probe plans
-        promoted to full measurements.
+        cannot tell the difference.
         """
         cal = self.session.board.cal
         start_mv = cal.vnom * 1000.0 if start_mv is None else start_mv
@@ -702,19 +588,11 @@ class VoltageSweep:
             point_batch = getattr(self.config, "point_batch", 8)
 
         if measure_round is None:
-            if measure is not None:
-                measure_round = _probe_round_executor(
-                    SweepProbe(self.session, measure)
-                )
-            else:
-                # Late import: repro.core must stay importable without the
-                # runtime package; the point cache is an optional
-                # acceleration.
-                from repro.runtime.points import cached_round_measure
+            # Late import: repro.core must stay importable without the
+            # runtime package; the point cache is an optional acceleration.
+            from repro.runtime.points import cached_round_measure
 
-                measure_round = cached_round_measure(
-                    self.session, self.config, f_mhz
-                )
+            measure_round = cached_round_measure(self.session, self.config, f_mhz)
 
         counts = {"measurement": 0, "hang": 0, "alive": 0}
 

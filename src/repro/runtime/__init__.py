@@ -61,8 +61,9 @@ embarrassingly parallel, cache-friendly workload:
   LRU and request-coalesced miss computation; the engine behind
   ``repro-undervolt query``/``serve`` (public facade: :mod:`repro.query`).
 
-Determinism contract: at a fixed seed, ``run_campaign(..., jobs=N)`` is
-bit-identical to ``jobs=1``, which is itself bit-identical to calling the
+Determinism contract: at a fixed seed,
+``run_campaign(..., plan=ExecutionPlan(jobs=N))`` is bit-identical to
+``jobs=1``, which is itself bit-identical to calling the
 runners directly — parallelism, caching (experiment- and point-level),
 and resuming are pure accelerations.
 """
@@ -82,7 +83,7 @@ from repro.runtime.executor import TaskOutcome, run_tasks
 from repro.runtime.fabric import WorkerFabric, active_fabric, fabric_scope, resolve_jobs
 from repro.runtime.hashing import config_fingerprint, point_fingerprint
 from repro.runtime.journal import CampaignJournal, campaign_fingerprint
-from repro.runtime.plan import ExecutionPlan, coerce_execution_plan
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.points import PointCache, PointEntry, PointStats, point_scope
 from repro.runtime.query import (
     CharacterizationIndex,
@@ -122,7 +123,6 @@ __all__ = [
     "active_fabric",
     "blob_plane",
     "campaign_fingerprint",
-    "coerce_execution_plan",
     "config_fingerprint",
     "fabric_scope",
     "maybe_blob_plane",

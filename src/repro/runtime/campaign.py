@@ -38,14 +38,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.experiment import ExperimentConfig
-from repro.errors import BoardHangError
 from repro.experiments.registry import ExperimentResult, get_spec, run_unit
 from repro.runtime.cache import ResultCache, normalize_result
 from repro.runtime.executor import TaskOutcome, run_tasks, run_tasks_threaded
 from repro.runtime.fabric import WorkerFabric, active_fabric
 from repro.runtime.hashing import config_fingerprint
 from repro.runtime.journal import CampaignJournal, campaign_fingerprint
-from repro.runtime.plan import ExecutionPlan, coerce_execution_plan
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.shards import merge_unit_results, plan_units
 
 #: Canonical report order: tables first, then figures in paper order, then
@@ -320,22 +319,19 @@ def _leased_fabric(
 def run_campaign(
     experiment_ids: Iterable[str],
     config: ExperimentConfig | None = None,
-    plan: ExecutionPlan | int | str | None = None,
+    plan: ExecutionPlan | None = None,
     cache: ResultCache | None = None,
     shard: bool = True,
     journal: CampaignJournal | None = None,
     resume: bool = False,
     fabric: WorkerFabric | None = None,
-    *,
-    jobs: int | str | None = None,
 ) -> CampaignOutcome:
     """Run a set of experiments, reusing cached results where possible.
 
     ``plan`` is the one description of *how* to execute
     (:class:`~repro.runtime.plan.ExecutionPlan`: worker count, batching
     budgets, cache directory; its ``dispatch`` field is sweep-only and
-    ignored here).  The legacy ``jobs=`` kwarg still works through
-    :func:`~repro.runtime.plan.coerce_execution_plan` but is deprecated.
+    ignored here); ``None`` means the default plan.
 
     With a ``journal``, the campaign's plan and per-unit completions are
     written through to disk; ``resume=True`` keeps the journal's prior
@@ -351,7 +347,7 @@ def run_campaign(
     threaded to the workers, which load spilled models memory-mapped
     instead of rebuilding them.
     """
-    exec_plan = coerce_execution_plan(plan, jobs=jobs)
+    exec_plan = plan or ExecutionPlan()
     config = exec_plan.apply_to(config or ExperimentConfig())
     jobs = exec_plan.resolved_jobs()
     if cache is None and exec_plan.cache_dir is not None:
@@ -452,41 +448,6 @@ def run_sweep_unit(
     return _sweep_result(benchmark, board_sample, sweep)
 
 
-def measure_point_task(
-    benchmark: str,
-    board_sample: int,
-    v_mv: float,
-    f_mhz: float | None,
-    config: ExperimentConfig,
-    point_root: str | None,
-    scope: str,
-    blob_root: str | None = None,
-) -> tuple[bool, object]:
-    """One dispatched voltage probe; returns ``(hang, measurement)``.
-
-    Top-level so a fabric can ship it to a warm worker: the worker's
-    memoized workload, plane-loaded model, and fabric-scope clean pass
-    make the probe cost little more than its fault cones.  A board hang
-    is *returned*, not raised — the parent sweep replays it as the
-    strategy expects — and, under a point scope, recorded in the point
-    store exactly as an in-process sweep would record it.
-    """
-    from repro.core.session import make_session
-    from repro.fpga.board import make_board
-    from repro.runtime.blobs import maybe_blob_plane
-    from repro.runtime.points import cached_point_measure, maybe_point_scope
-
-    with maybe_blob_plane(blob_root):
-        board = make_board(sample=board_sample, cal=config.cal)
-        session = make_session(board, benchmark, config)
-        with maybe_point_scope(point_root, scope):
-            measure = cached_point_measure(session, config, f_mhz)
-            try:
-                return (False, measure(v_mv))
-            except BoardHangError:
-                return (True, None)
-
-
 def measure_round_task(
     benchmark: str,
     board_sample: int,
@@ -507,8 +468,8 @@ def measure_round_task(
     measurement-or-None), ...]`` for the points that got an outcome
     (execution stops at the first hang, exactly as in-process rounds
     do); per-point store entries land under the *unchanged* per-point
-    fingerprints, so round dispatch and per-point dispatch share one
-    store.  Top-level so a fabric can ship it to a warm worker.
+    fingerprints, so dispatched and in-process sweeps share one store.
+    Top-level so a fabric can ship it to a warm worker.
     """
     from repro.core.session import make_session
     from repro.core.undervolt import PlannedPoint
@@ -618,21 +579,16 @@ def run_sweep_campaign(
     benchmark: str,
     boards: Sequence[int],
     config: ExperimentConfig | None = None,
-    plan: ExecutionPlan | int | str | None = None,
+    plan: ExecutionPlan | None = None,
     cache: ResultCache | None = None,
     fabric: WorkerFabric | None = None,
     journal: CampaignJournal | None = None,
     resume: bool = False,
-    *,
-    jobs: int | str | None = None,
-    dispatch: str | None = None,
 ) -> CampaignOutcome:
     """Sweep one benchmark on several boards, cached and fanned out.
 
     ``plan`` (:class:`~repro.runtime.plan.ExecutionPlan`) is the one
-    description of *how* to execute; the legacy ``jobs=``/``dispatch=``
-    kwargs still work through
-    :func:`~repro.runtime.plan.coerce_execution_plan` but are deprecated.
+    description of *how* to execute; ``None`` means the default plan.
 
     ``plan.dispatch`` selects the work granularity: ``"unit"`` (default)
     ships whole board sweeps to the pool — best when boards outnumber
@@ -648,7 +604,7 @@ def run_sweep_campaign(
     the sweep plan and per-board completions are written through, and a
     resumed campaign counts previously completed boards as resumed work.
     """
-    exec_plan = coerce_execution_plan(plan, jobs=jobs, dispatch=dispatch)
+    exec_plan = plan or ExecutionPlan()
     dispatch = exec_plan.dispatch
     config = exec_plan.apply_to(config or ExperimentConfig())
     jobs = exec_plan.resolved_jobs()
@@ -806,13 +762,11 @@ def run_fleet_campaign(
     spec,
     policies: Sequence[str] | None = None,
     config: ExperimentConfig | None = None,
-    plan: ExecutionPlan | int | str | None = None,
+    plan: ExecutionPlan | None = None,
     cache: ResultCache | None = None,
     fabric: WorkerFabric | None = None,
     journal: CampaignJournal | None = None,
     resume: bool = False,
-    *,
-    jobs: int | str | None = None,
 ) -> CampaignOutcome:
     """Simulate a fleet under several policies, cached and fanned out.
 
@@ -830,7 +784,7 @@ def run_fleet_campaign(
     from repro.fleet.policy import POLICY_NAMES, prepare_policies
     from repro.runtime.query import CharacterizationIndex
 
-    exec_plan = coerce_execution_plan(plan, jobs=jobs)
+    exec_plan = plan or ExecutionPlan()
     config = exec_plan.apply_to(config or ExperimentConfig())
     jobs = exec_plan.resolved_jobs()
     if cache is None and exec_plan.cache_dir is not None:

@@ -6,14 +6,14 @@ outcomes *in input order*, regardless of completion order.  That ordering
 guarantee is what lets the shard mergers upstream reproduce serial
 floating-point behaviour exactly.
 
-Pools come from one of two places.  With a leased
-:class:`~repro.runtime.fabric.WorkerFabric` — passed explicitly or
-adopted from the active lease (:func:`~repro.runtime.fabric.active_fabric`)
-when ``jobs > 1`` — every round runs on the *same persistent pool*, so
-worker warm state (memoized models, clean passes, the model plane)
-survives across rounds and per-round spawn cost disappears.  Without a
-fabric the historical behaviour is preserved: a fresh pool per call,
-sized ``min(jobs, len(tasks))``, shut down when the call returns.
+Every pool is a :class:`~repro.runtime.fabric.WorkerFabric`'s.  With a
+leased fabric — passed explicitly or adopted from the active lease
+(:func:`~repro.runtime.fabric.active_fabric`) when ``jobs > 1`` — every
+round runs on the *same persistent pool*, so worker warm state (memoized
+models, clean passes, the model plane) survives across rounds and
+per-round spawn cost disappears.  A ``jobs > 1`` call with several tasks
+and no lease runs on a transient fabric sized ``min(jobs, len(tasks))``,
+closed when the call returns; the campaign layer always leases one.
 
 Large rounds are submitted in *chunks* — contiguous runs of tasks shipped
 as one pool item — to amortize per-task dispatch (pickle + queue + wakeup)
@@ -234,7 +234,8 @@ def run_tasks(
 
     ``fabric`` selects the leased-pool path explicitly (any task count —
     even a single dispatched probe reaches the warm workers); with
-    ``jobs > 1`` and no explicit fabric, the active lease is adopted.
+    ``jobs > 1`` and no explicit fabric, the active lease is adopted, or
+    a transient fabric runs the call when there is no lease.
     ``jobs`` accepts everything :func:`~repro.runtime.fabric.resolve_jobs`
     does (including ``"auto"``, e.g. from an
     :class:`~repro.runtime.plan.ExecutionPlan` shipped to this host).
@@ -250,19 +251,10 @@ def run_tasks(
         return _run_on_fabric(tasks, fabric, on_complete, chunksize)
     if jobs == 1 or len(tasks) <= 1:
         return _run_serial(tasks, "serial", on_complete)
+    # Never entered, so it is never the active lease: tasks replayed
+    # in-process after a pool failure must not adopt a pool being closed.
+    transient = WorkerFabric(min(jobs, len(tasks)))
     try:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)))
-    except (OSError, PermissionError, NotImplementedError, ValueError):
-        # No pool to be had (fork bans, missing /dev/shm, resource
-        # limits).  Every unit is a pure function of its arguments, so
-        # running serially is safe.
-        return _run_serial(tasks, "serial-fallback", on_complete)
-    outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-    if chunksize is None:
-        chunksize = auto_chunksize(len(tasks), jobs)
-    try:
-        with pool:
-            _drain_pool(pool, tasks, outcomes, on_complete, chunksize)
-        return [o for o in outcomes if o is not None]
-    except BrokenProcessPool:
-        return _replay_unfinished(tasks, outcomes, on_complete)
+        return _run_on_fabric(tasks, transient, on_complete, chunksize)
+    finally:
+        transient.close()

@@ -24,17 +24,18 @@ per-process caches stay warm:
 
 The fabric is an acceleration, never a semantic: tasks are pure
 functions of their arguments, results are returned in input order, and
-a leased pool produces bit-identical outcomes to the per-call pools it
-replaces.  If the pool dies (``BrokenProcessPool``) the executor replays
+a leased pool produces bit-identical outcomes to the serial path.  If
+the pool dies (``BrokenProcessPool``) the executor replays
 only the unfinished tasks serially and the fabric discards the pool —
 its warm caches die with the worker processes — respawning a fresh one
 for the next round.
 
 Use it as a context manager::
 
+    plan = ExecutionPlan(jobs=8)
     with WorkerFabric(jobs=8, blob_root=cache.blob_root) as fabric:
-        run_campaign(ids, config, jobs=8, cache=cache)   # leased pool
-        run_sweep_campaign("vggnet", boards, config, jobs=8, cache=cache)
+        run_campaign(ids, config, plan, cache=cache)   # leased pool
+        run_sweep_campaign("vggnet", boards, config, plan, cache=cache)
 
 Entering the context also *activates* the fabric
 (:func:`active_fabric`), so nested ``run_tasks(jobs > 1)`` calls adopt

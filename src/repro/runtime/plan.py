@@ -24,15 +24,15 @@ the nested :class:`~repro.fpga.calibration.Calibration` — as plain
 JSON, and a worker reconstructs an *equal* config whose fingerprints
 match the coordinator's exactly.
 
-Migration: the loose ``jobs=`` / ``dispatch=`` / ``point_batch=``
-kwargs on :func:`~repro.runtime.campaign.run_sweep_campaign` and
-friends still work through :func:`coerce_execution_plan`, but emit a
-:class:`DeprecationWarning`; pass ``plan=ExecutionPlan(...)`` instead.
+Every campaign entry point (:func:`~repro.runtime.campaign.run_campaign`,
+:func:`~repro.runtime.campaign.run_sweep_campaign`,
+:func:`~repro.runtime.campaign.run_fleet_campaign`,
+:func:`~repro.analysis.report.generate_report`) takes ``plan=`` as its
+only execution argument; ``None`` means the default plan.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from repro.core.experiment import ExperimentConfig
@@ -131,50 +131,6 @@ class ExecutionPlan:
         return cls(**payload)
 
 
-def coerce_execution_plan(
-    plan: ExecutionPlan | int | str | None = None,
-    *,
-    jobs: int | str | None = None,
-    dispatch: str | None = None,
-    point_batch: int | None = None,
-    batch_budget: int | None = None,
-) -> ExecutionPlan:
-    """Resolve a ``plan=`` argument plus legacy kwargs into one plan.
-
-    The compatibility shim behind every campaign entry point: explicit
-    legacy kwargs (``jobs=``, ``dispatch=``, ``point_batch=``,
-    ``batch_budget=``) — or a bare int/``"auto"`` passed positionally
-    where ``plan`` now sits — keep working but emit a
-    :class:`DeprecationWarning` and are merged over ``plan`` (legacy
-    wins, matching the historical call sites).  ``None`` everywhere
-    yields the default plan.
-    """
-    if isinstance(plan, (int, str)):
-        # Historical positional jobs argument landing in the plan slot.
-        jobs = plan if jobs is None else jobs
-        plan = None
-    legacy = {
-        name: value
-        for name, value in (
-            ("jobs", jobs),
-            ("dispatch", dispatch),
-            ("point_batch", point_batch),
-            ("batch_budget", batch_budget),
-        )
-        if value is not None
-    }
-    if legacy:
-        warnings.warn(
-            f"the {sorted(legacy)} execution kwargs are deprecated; pass "
-            f"plan=ExecutionPlan({', '.join(f'{k}={v!r}' for k, v in legacy.items())}) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return (plan or ExecutionPlan()).with_overrides(**legacy)
-    return plan or ExecutionPlan()
-
-
 def config_to_wire(config: ExperimentConfig) -> dict:
     """JSON-able snapshot of a config (nested calibration included)."""
     return config.as_dict()
@@ -205,7 +161,6 @@ def config_from_wire(payload: dict) -> ExperimentConfig:
 __all__ = [
     "DISPATCH_MODES",
     "ExecutionPlan",
-    "coerce_execution_plan",
     "config_from_wire",
     "config_to_wire",
 ]

@@ -37,7 +37,9 @@ Consequences, all exercised by ``tests/runtime/test_points.py``:
 
 Workers activate a store per work unit via :func:`point_scope` (a
 context-local, so process pools and in-process runs behave identically);
-the sweep engine picks it up through :func:`cached_point_measure`.
+the sweep engine picks it up through :func:`cached_round_measure`, the
+one round executor every sweep round runs through, in-process or on a
+worker.
 Corrupt entries are deleted and recomputed, never propagated, and writes
 are atomic (temp file + rename), so parallel workers can share one store.
 """
@@ -108,13 +110,6 @@ class PointRecord:
 
     hang: bool
     measurement: Measurement | None
-
-    def realize(self, vccint_mv: float) -> Measurement:
-        """Return the measurement, or replay the recorded hang."""
-        if self.hang:
-            raise BoardHangError(f"cached hang at {vccint_mv} mV", vccint_v=vccint_mv / 1000.0)
-        assert self.measurement is not None
-        return self.measurement
 
 
 @dataclass
@@ -376,41 +371,6 @@ def point_context(session: AcceleratorSession, vccint_mv: float, f_mhz: float | 
     }
 
 
-def cached_point_measure(
-    session: AcceleratorSession,
-    config: ExperimentConfig,
-    f_mhz: float | None = None,
-):
-    """A ``measure(v_mv) -> Measurement`` bound to the active point store.
-
-    Without an active scope this is simply ``session.run_at``; with one,
-    cached points (including recorded hangs) are replayed from disk and
-    fresh outcomes are written back, hangs included — so a resumed or
-    re-parameterized sweep never re-probes a voltage it already knows.
-    Raises :class:`BoardHangError` for hung points either way.
-    """
-    active = active_point_scope()
-    if active is None:
-        return lambda v_mv: session.run_at(v_mv, f_mhz=f_mhz)
-    cache, scope = active.cache, active.scope
-
-    def measure(v_mv: float) -> Measurement:
-        context = point_context(session, v_mv, f_mhz)
-        fingerprint = point_fingerprint(scope, context, config)
-        record = cache.load(fingerprint)
-        if record is not None:
-            return record.realize(v_mv)
-        try:
-            measurement = session.run_at(v_mv, f_mhz=f_mhz)
-        except BoardHangError:
-            cache.store(fingerprint, scope, context, None, current_version())
-            raise
-        cache.store(fingerprint, scope, context, measurement, current_version())
-        return measurement
-
-    return measure
-
-
 def cached_round_measure(
     session: AcceleratorSession,
     config: ExperimentConfig,
@@ -431,9 +391,10 @@ def cached_round_measure(
     Semantics per plan, in round order (stopping after the first hang —
     the board is down, later plans get no outcome):
 
-    * ``"measure"`` plans consult the point store first (cached hangs
-      replay without touching the board) and write fresh outcomes back,
-      exactly like :func:`cached_point_measure`;
+    * ``"measure"`` plans consult the point store first (cached points
+      and hangs replay without touching the board) and write fresh
+      outcomes back, hangs included — so a resumed or re-parameterized
+      sweep never re-probes a voltage it already knows;
     * ``"probe"`` plans never read the store — the board dance alone
       decides liveness and the fault regime, so cached and uncached
       sweeps take identical paths — but their *deterministic* outcomes

@@ -39,7 +39,8 @@ Three properties make it a service rather than a file reader:
    index can *schedule* the missing work through the existing campaign
    executor — a full sweep via
    :func:`~repro.runtime.campaign.run_sweep_campaign` or a single
-   voltage point via :func:`~repro.runtime.executor.run_tasks` — and a
+   voltage point as a one-point sweep round
+   (:func:`~repro.runtime.campaign.measure_round_task`) — and a
    :class:`RequestCoalescer` guarantees that N concurrent requests for
    one missing key trigger exactly one computation; the other N-1 block
    on the leader's result.
@@ -68,14 +69,12 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.regions import detect_regions
 from repro.core.session import Measurement
 from repro.core.undervolt import SweepResult
-from repro.errors import BoardHangError, CampaignError
+from repro.errors import CampaignError
 from repro.runtime.cache import ResultCache
 from repro.runtime.hashing import current_version, point_fingerprint
 from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
 from repro.runtime.points import (
     PointCache,
-    cached_point_measure,
-    maybe_point_scope,
     measurement_to_payload,
     read_point_entry,
 )
@@ -252,42 +251,6 @@ class RequestCoalescer:
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
-
-
-def compute_point_unit(
-    benchmark: str,
-    board: int,
-    v_mv: float,
-    f_mhz: float | None,
-    config: ExperimentConfig,
-    point_root: str,
-    scope: str,
-    blob_root: str | None = None,
-) -> bool:
-    """Measure one voltage point into the point store; ``True`` = alive.
-
-    Top-level so :func:`~repro.runtime.executor.run_tasks` can ship it to
-    a worker process.  The measurement runs under the given point scope,
-    so the entry it writes is exactly the one a ``repro sweep`` of the
-    same (benchmark, board) would write — and a point already in the
-    store is replayed, not recomputed.  With ``blob_root`` the worker
-    builds its session under the model plane, loading a spilled workload
-    memory-mapped instead of rebuilding it.
-    """
-    from repro.core.session import make_session
-    from repro.fpga.board import make_board
-    from repro.runtime.blobs import maybe_blob_plane
-
-    with maybe_blob_plane(blob_root):
-        board_obj = make_board(sample=board, cal=config.cal)
-        session = make_session(board_obj, benchmark, config)
-        with maybe_point_scope(point_root, scope):
-            measure = cached_point_measure(session, config, f_mhz)
-            try:
-                measure(v_mv)
-            except BoardHangError:
-                return False  # the hang itself was recorded in the store
-    return True
 
 
 @dataclass
@@ -832,37 +795,39 @@ class CharacterizationIndex:
     ) -> bool:
         """Make sure one voltage point is measured; ``True`` = alive.
 
-        The measurement runs as a task through the campaign executor
-        (:func:`~repro.runtime.executor.run_tasks`) under the same point
-        scope a ``repro sweep`` of the pair would use, so the stored
-        entry is shared with sweep campaigns.  Concurrent calls for the
-        same point coalesce into one computation.
+        The measurement runs as a one-point sweep round
+        (:func:`~repro.runtime.campaign.measure_round_task`) through the
+        campaign executor, under the same point scope a ``repro sweep``
+        of the pair would use, so the stored entry (a hang included) is
+        shared with sweep campaigns and a point already in the store is
+        replayed, not recomputed.  Concurrent calls for the same point
+        coalesce into one computation.
         """
-        from repro.runtime.campaign import sweep_unit_id
+        from repro.runtime.campaign import measure_round_task, sweep_unit_id
         from repro.runtime.executor import run_tasks
 
         v_mv = round(float(vccint_mv), 4)
         key = ("point", benchmark, int(board), v_mv, f_mhz)
 
         def compute():
-            scope = sweep_unit_id(benchmark, int(board))
             task_args = (
                 benchmark,
                 int(board),
-                v_mv,
+                ((0, v_mv, "measure"),),
                 f_mhz,
                 self.config,
                 str(self._points.root),
-                scope,
+                sweep_unit_id(benchmark, int(board)),
                 str(self._cache.blob_root),
             )
             outcomes = run_tasks(
-                [(compute_point_unit, task_args)],
+                [(measure_round_task, task_args)],
                 jobs=1,
                 fabric=self._compute_fabric(),
             )
             self.refresh()
-            return outcomes[0].value
+            ((_index, kind, _measurement),) = outcomes[0].value
+            return kind != "hang"
 
         alive, led = self._coalescer.run(key, compute)
         if led:
@@ -950,7 +915,6 @@ __all__: Sequence[str] = [
     "MeasurementLRU",
     "PointRef",
     "RequestCoalescer",
-    "compute_point_unit",
     "default_variant",
     "open_index",
     "to_json",

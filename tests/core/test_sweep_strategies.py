@@ -8,6 +8,7 @@ from repro.core.undervolt import (
     AdaptiveStrategy,
     GridStrategy,
     VoltageSweep,
+    drive_rounds,
     grid_voltage_mv,
     sweep_strategy,
 )
@@ -115,7 +116,7 @@ class TestAdaptiveEquivalence:
 
 
 class TestAdaptiveOnSyntheticProbe:
-    """Drive strategies with a scripted probe to pin the search behaviour."""
+    """Drive strategies with a scripted board to pin the search behaviour."""
 
     class M:
         clean_accuracy = 0.9
@@ -124,14 +125,15 @@ class TestAdaptiveOnSyntheticProbe:
             self.accuracy = acc
             self.vccint_mv = v
 
-    class FakeProbe:
+    class FakeBoard:
         """Loss-free above vmin, lossy above vcrash, hang below.
 
-        Speaks both halves of the :class:`SweepProbe` protocol:
-        ``measure`` (full measurements; ``None`` = hang) and
-        ``probe_point`` (board-dance outcomes: fault-free at or above
+        A round executor (:func:`drive_rounds` protocol) that answers
+        ``"measure"`` plans with full measurements and ``"probe"`` plans
+        with board-dance outcomes: fault-free at or above
         ``fault_free_mv`` — one step above vmin, as on a real board —
-        alive-but-faulty in between, hang below vcrash).  Only *paid*
+        alive-but-faulty in between, hang below vcrash.  Rounds stop at
+        the first hang, as every real executor's do.  Only *paid*
         measurements are counted: a probe's fault-free measurement comes
         from the deterministic clean shortcut, i.e. for free.
         """
@@ -142,25 +144,34 @@ class TestAdaptiveOnSyntheticProbe:
             self.fault_free_mv = vmin_mv + 1.0
             self.measured = []
 
-        def measure(self, v_mv):
-            if v_mv < self.vcrash_mv:
-                return None
-            self.measured.append(v_mv)
-            accuracy = 0.9 if v_mv >= self.vmin_mv else 0.5
-            return TestAdaptiveOnSyntheticProbe.M(accuracy, v_mv)
-
-        def probe_point(self, v_mv):
+        def outcome(self, point):
+            v_mv = point.v_mv
             if v_mv < self.vcrash_mv:
                 return ("hang", None)
-            if v_mv >= self.fault_free_mv:
-                return ("measurement", TestAdaptiveOnSyntheticProbe.M(0.9, v_mv))
-            return ("alive", None)
+            if point.mode == "probe":
+                if v_mv >= self.fault_free_mv:
+                    return ("measurement", TestAdaptiveOnSyntheticProbe.M(0.9, v_mv))
+                return ("alive", None)
+            self.measured.append(v_mv)
+            accuracy = 0.9 if v_mv >= self.vmin_mv else 0.5
+            return ("measurement", TestAdaptiveOnSyntheticProbe.M(accuracy, v_mv))
+
+        def scripted_round_executor(self, points):
+            outcomes = {}
+            for point in points:
+                outcomes[point.index] = self.outcome(point)
+                if outcomes[point.index][0] == "hang":
+                    break
+            return outcomes
 
     def landmarks(self, strategy, start=620.0, floor=500.0):
-        probe = self.FakeProbe(vmin_mv=571.0, vcrash_mv=544.0)
-        points, crash_mv = strategy.run(probe, start, floor)
+        board = self.FakeBoard(vmin_mv=571.0, vcrash_mv=544.0)
+        points, crash_mv, _rounds = drive_rounds(
+            strategy.plan_rounds(start, floor, point_batch=1),
+            board.scripted_round_executor,
+        )
         free = [p.vccint_mv for p in points if p.accuracy >= 0.89]
-        return min(free), min(p.vccint_mv for p in points), crash_mv, len(probe.measured)
+        return min(free), min(p.vccint_mv for p in points), crash_mv, len(board.measured)
 
     def test_adaptive_matches_grid_on_synthetic_landmarks(self):
         grid = GridStrategy(resolution_mv=1.0)

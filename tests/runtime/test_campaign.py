@@ -19,6 +19,7 @@ from repro.runtime.campaign import (
     run_sweep_campaign,
 )
 from repro.runtime.executor import run_tasks
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.shards import merge_unit_results, plan_units
 
 CFG = ExperimentConfig(repeats=1, samples=16)
@@ -220,8 +221,8 @@ class TestNamedCampaigns:
 
 class TestParallelEquivalence:
     def test_sharded_fake_parallel_matches_serial(self, sharded_experiment):
-        serial = run_campaign(["zz_sharded"], CFG, jobs=1)
-        parallel = run_campaign(["zz_sharded"], CFG, jobs=4)
+        serial = run_campaign(["zz_sharded"], CFG, ExecutionPlan(jobs=1))
+        parallel = run_campaign(["zz_sharded"], CFG, ExecutionPlan(jobs=4))
         assert serial.entries[0].n_shards == 1  # whole-experiment unit
         assert parallel.entries[0].n_shards == 4
         assert serial.entries[0].result.rows == parallel.entries[0].result.rows
@@ -231,8 +232,8 @@ class TestParallelEquivalence:
         )
 
     def test_fig3_parallel_bit_identical_to_serial(self):
-        serial = run_campaign(["fig3"], CFG, jobs=1)
-        parallel = run_campaign(["fig3"], CFG, jobs=5)
+        serial = run_campaign(["fig3"], CFG, ExecutionPlan(jobs=1))
+        parallel = run_campaign(["fig3"], CFG, ExecutionPlan(jobs=5))
         a, b = serial.entries[0].result, parallel.entries[0].result
         assert a.render() == b.render()
         assert a.rows == b.rows

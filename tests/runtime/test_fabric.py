@@ -28,8 +28,11 @@ from repro.runtime.campaign import (
 from repro.runtime.executor import auto_chunksize, run_tasks, run_tasks_threaded
 from repro.runtime.fabric import WorkerFabric, active_fabric, fabric_scope, resolve_jobs
 from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
+from repro.runtime.plan import ExecutionPlan
 
 CFG = ExperimentConfig(repeats=1, samples=16)
+#: Two-worker point dispatch: each sweep round is one fabric task.
+POINT = ExecutionPlan(jobs=2, dispatch="point")
 
 
 def _worker_pid(_round: int) -> int:
@@ -174,9 +177,7 @@ class TestThreadedFanout:
         """With jobs >= boards, each board's driver runs on its own
         thread and the shared fabric serves probes from both."""
         with WorkerFabric(2) as fabric:
-            outcome = run_sweep_campaign(
-                "vggnet", [0, 1], CFG, jobs=2, fabric=fabric, dispatch="point"
-            )
+            outcome = run_sweep_campaign("vggnet", [0, 1], CFG, POINT, fabric=fabric)
             assert fabric.pools_spawned == 1
         assert [e.worker for e in outcome.entries] == ["thread", "thread"]
 
@@ -256,8 +257,7 @@ class TestBrokenPool:
         cache_b = ResultCache(tmp_path / "b")
         with WorkerFabric(2) as fabric:
             reference = run_sweep_campaign(
-                "vggnet", [0], CFG, jobs=2, cache=cache_a,
-                fabric=fabric, dispatch="point",
+                "vggnet", [0], CFG, POINT, cache=cache_a, fabric=fabric
             )
 
         # The crash: the first dispatched round's worker stores a prefix
@@ -286,8 +286,8 @@ class TestBrokenPool:
 
         with WorkerFabric(2) as fabric:
             resumed = run_sweep_campaign(
-                "vggnet", [0], CFG, jobs=2, cache=cache_b,
-                fabric=fabric, dispatch="point", journal=journal, resume=True,
+                "vggnet", [0], CFG, POINT, cache=cache_b,
+                fabric=fabric, journal=journal, resume=True,
             )
         assert resumed.journal_stats["recomputed"] == 0
         assert resumed.journal_stats["fresh"] == 1
@@ -304,18 +304,18 @@ class TestBrokenPool:
 
 class TestCampaignsOnFabric:
     def test_campaign_owns_and_closes_a_fabric(self):
-        outcome = run_campaign(("table1",), CFG, jobs=2)
-        serial = run_campaign(("table1",), CFG, jobs=1)
+        outcome = run_campaign(("table1",), CFG, ExecutionPlan(jobs=2))
+        serial = run_campaign(("table1",), CFG, ExecutionPlan(jobs=1))
         assert outcome.entries[0].result.rows == serial.entries[0].result.rows
 
     def test_leased_fabric_spans_campaign_rounds(self, tmp_path):
         """Several campaign calls under one lease: one pool, same answers."""
         cache = ResultCache(tmp_path / "c")
-        serial_a = run_campaign(("table1",), CFG, jobs=1)
-        serial_b = run_campaign(("sec41",), CFG, jobs=1)
+        serial_a = run_campaign(("table1",), CFG, ExecutionPlan(jobs=1))
+        serial_b = run_campaign(("sec41",), CFG, ExecutionPlan(jobs=1))
         with WorkerFabric(2, blob_root=cache.blob_root) as fabric:
-            warm_a = run_campaign(("table1",), CFG, jobs=2)
-            warm_b = run_campaign(("sec41",), CFG, jobs=2)
+            warm_a = run_campaign(("table1",), CFG, ExecutionPlan(jobs=2))
+            warm_b = run_campaign(("sec41",), CFG, ExecutionPlan(jobs=2))
             assert fabric.pools_spawned <= 1  # sec41 may shard to one unit
         assert warm_a.entries[0].result.rows == serial_a.entries[0].result.rows
         assert warm_b.entries[0].result.rows == serial_b.entries[0].result.rows
@@ -324,12 +324,9 @@ class TestCampaignsOnFabric:
         """Acceptance: a warm-fabric point-dispatched adaptive sweep must
         render byte-identically to the historical whole-unit sweep."""
         cfg = CFG.with_overrides(strategy="adaptive")
-        unit = run_sweep_campaign("vggnet", [0, 1], cfg, jobs=1, cache=None)
+        unit = run_sweep_campaign("vggnet", [0, 1], cfg, ExecutionPlan(jobs=1), cache=None)
         with WorkerFabric(2) as fabric:
-            point = run_sweep_campaign(
-                "vggnet", [0, 1], cfg, jobs=2, cache=None,
-                fabric=fabric, dispatch="point",
-            )
+            point = run_sweep_campaign("vggnet", [0, 1], cfg, POINT, cache=None, fabric=fabric)
             assert fabric.pools_spawned == 1  # every probe, one pool
             assert fabric.tasks_dispatched > len(point.entries)
         for a, b in zip(unit.entries, point.entries):
@@ -346,15 +343,11 @@ class TestCampaignsOnFabric:
         run_sweep_campaign("vggnet", [1], CFG, cache=cache_a)
         with WorkerFabric(2) as fabric:
             run_sweep_campaign(
-                "vggnet", [1], CFG, cache=cache_b, fabric=fabric, dispatch="point"
+                "vggnet", [1], CFG, ExecutionPlan(dispatch="point"), cache=cache_b, fabric=fabric
             )
         names_a = sorted(p.name for p in PointCache(cache_a.point_root).entries())
         names_b = sorted(p.name for p in PointCache(cache_b.point_root).entries())
         assert names_a == names_b and names_a
-
-    def test_invalid_dispatch_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep_campaign("vggnet", [0], CFG, dispatch="nope")
 
     def test_resume_accounting_unchanged_under_fabric(self, tmp_path):
         """The journal's resume math must not notice the fabric."""
@@ -362,11 +355,13 @@ class TestCampaignsOnFabric:
         journal = CampaignJournal(cache.root / JOURNAL_NAME)
         ids = ("table1", "sec41")
         with WorkerFabric(2, blob_root=cache.blob_root):
-            first = run_campaign(ids, CFG, jobs=2, cache=cache, journal=journal)
+            first = run_campaign(
+                ids, CFG, ExecutionPlan(jobs=2), cache=cache, journal=journal
+            )
         assert first.journal_stats["fresh"] == 2
         with WorkerFabric(2, blob_root=cache.blob_root):
             again = run_campaign(
-                ids, CFG, jobs=2, cache=cache, journal=journal, resume=True
+                ids, CFG, ExecutionPlan(jobs=2), cache=cache, journal=journal, resume=True
             )
         stats = again.journal_stats
         assert stats["resumed"] == 2

@@ -4,7 +4,35 @@ import pytest
 
 import repro.version
 from repro.core.experiment import ExperimentConfig
-from repro.runtime.hashing import FINGERPRINT_LEN, config_fingerprint
+from repro.runtime.hashing import FINGERPRINT_LEN, config_fingerprint, point_fingerprint
+
+
+class TestPinned:
+    """Literal cache keys: a change that moves them retires every store.
+
+    Deleting code paths or config knobs that are excluded from hashing
+    (execution-only fields like ``repeat_mode``) must leave these exact
+    values in place.
+    """
+
+    def test_config_fingerprint_is_pinned(self):
+        assert config_fingerprint("fig3", ExperimentConfig(), version="1.2.0") == (
+            "abb61e18d425bfc2"
+        )
+
+    def test_point_fingerprint_is_pinned(self):
+        context = {
+            "benchmark": "vggnet",
+            "variant": "vggnet-int8",
+            "board": 0,
+            "vccint_mv": 850.0,
+            "f_mhz": 333.0,
+            "t_setpoint_c": None,
+        }
+        fingerprint = point_fingerprint(
+            "sweep:vggnet:board0", context, ExperimentConfig(), version="1.2.0"
+        )
+        assert fingerprint == "4ea66d5a1acd3914"
 
 
 class TestStability:

@@ -1,11 +1,9 @@
-"""ExecutionPlan tests: validation, wire round-trips, the compat shim.
+"""ExecutionPlan tests: validation, wire round-trips, campaign plumbing.
 
 The plan's contract: one frozen value describes *how* a campaign
 executes, it survives a JSON round-trip bit-exactly (the distributed
 fabric ships it verbatim), and applying it to a config never moves a
-fingerprint.  The legacy ``jobs=``/``dispatch=`` kwargs keep working
-through :func:`coerce_execution_plan` but are pinned to emit
-``DeprecationWarning``.
+fingerprint.
 """
 
 import json
@@ -16,7 +14,6 @@ from repro.core.experiment import ExperimentConfig
 from repro.runtime.hashing import config_fingerprint
 from repro.runtime.plan import (
     ExecutionPlan,
-    coerce_execution_plan,
     config_from_wire,
     config_to_wire,
 )
@@ -89,54 +86,7 @@ class TestWire:
             assert config_fingerprint(unit_id, rebuilt) == config_fingerprint(unit_id, config)
 
 
-class TestCoerceShim:
-    def test_none_everywhere_is_default_plan(self):
-        assert coerce_execution_plan(None) == ExecutionPlan()
-
-    def test_plan_passes_through_untouched(self):
-        plan = ExecutionPlan(jobs=2, dispatch="point")
-        assert coerce_execution_plan(plan) is plan
-
-    def test_legacy_kwargs_warn_and_win(self):
-        base = ExecutionPlan(jobs=8)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            merged = coerce_execution_plan(base, jobs=2, dispatch="point")
-        assert merged.jobs == 2 and merged.dispatch == "point"
-
-    def test_bare_positional_jobs_still_works(self):
-        """Historical ``run_campaign(ids, config, 4)`` call shape."""
-        with pytest.warns(DeprecationWarning):
-            assert coerce_execution_plan(4).jobs == 4
-        with pytest.warns(DeprecationWarning):
-            assert coerce_execution_plan("auto").jobs == "auto"
-
-    def test_campaign_entry_points_pin_the_warning(self, tmp_path):
-        """The deprecation satellite: loose kwargs on the campaign API warn."""
-        from repro.runtime.campaign import run_campaign, run_sweep_campaign
-
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            run_campaign(["table1"], CFG, jobs=1)
-        with pytest.warns(DeprecationWarning, match="dispatch"):
-            run_sweep_campaign("vggnet", [0], CFG, dispatch="unit")
-
-    def test_plan_argument_does_not_warn(self):
-        import warnings
-
-        from repro.runtime.campaign import run_campaign
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            run_campaign(["table1"], CFG, ExecutionPlan(jobs=1))
-
-    def test_invalid_dispatch_via_legacy_kwarg_is_value_error(self):
-        """Pinned by tests/runtime/test_fabric.py as well: the shim must
-        surface the historical ValueError for a bad dispatch string."""
-        from repro.runtime.campaign import run_sweep_campaign
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                run_sweep_campaign("vggnet", [0], CFG, dispatch="nope")
-
+class TestCampaignPlanArgument:
     def test_plan_cache_dir_attaches_a_cache(self, tmp_path):
         from repro.runtime.campaign import run_campaign
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.session import AcceleratorSession
-from repro.core.undervolt import VoltageSweep
-from repro.errors import BoardHangError
+from repro.core.undervolt import PlannedPoint, VoltageSweep
 from repro.fpga.board import make_board
 from repro.models.zoo import build as build_workload
 from repro.runtime.hashing import point_fingerprint
 from repro.runtime.points import (
     PointCache,
-    cached_point_measure,
+    cached_round_measure,
     measurement_from_payload,
     measurement_to_payload,
     point_context,
@@ -155,9 +154,9 @@ class TestCachedSweeps:
         assert cold.crash_mv is not None
         session = fresh_session(workload)
         with point_scope(cache, SCOPE):
-            measure = cached_point_measure(session, CFG)
-            with pytest.raises(BoardHangError):
-                measure(cold.crash_mv)
+            execute = cached_round_measure(session, CFG)
+            outcomes = execute([PlannedPoint(0, cold.crash_mv)])
+        assert outcomes == {0: ("hang", None)}
         # The cached hang never touched the live board.
         assert session.board.crash_count == 0
 
@@ -191,9 +190,10 @@ class TestCachedSweeps:
         cache = PointCache(tmp_path / "points")
         session = fresh_session(workload)
         with point_scope(cache, SCOPE):
-            measure = cached_point_measure(session, CFG)
-            for v_mv in (575.0, 570.0, 565.0):  # partial progress, then "crash"
-                measure(v_mv)
+            execute = cached_round_measure(session, CFG)
+            for index, v_mv in enumerate((575.0, 570.0, 565.0)):
+                # Partial progress, one round per point, then "crash".
+                execute([PlannedPoint(index, v_mv)])
         partial = cache.stats.stores
         assert partial == 3
         resumed = sweep(fresh_session(workload), CFG, cache)

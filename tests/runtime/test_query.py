@@ -245,6 +245,22 @@ class TestReadThrough:
         row = idx.point("vggnet", 850.0, board=0)
         assert row["hang"] is False
 
+    def test_ensure_point_stores_the_live_measurement(self, tmp_path):
+        idx = CharacterizationIndex(tmp_path, config=CONFIG)
+        v_mv = reference_sweep(0).last_alive.vccint_mv  # deepest faulty point
+        assert idx.ensure_point("vggnet", v_mv, board=0) is True
+        (entry,) = [read_point_entry(p) for p in PointCache(idx.cache_dir / "points").entries()]
+        session = make_session(make_board(sample=0, cal=CONFIG.cal), "vggnet", CONFIG)
+        assert entry.record.measurement == session.run_at(v_mv)
+
+    def test_ensure_point_below_crash_records_one_hang(self, tmp_path):
+        idx = CharacterizationIndex(tmp_path, config=CONFIG)
+        crash_mv = reference_sweep(0).crash_mv
+        assert crash_mv is not None
+        assert idx.ensure_point("vggnet", crash_mv, board=0) is False
+        entries = [read_point_entry(p) for p in PointCache(idx.cache_dir / "points").entries()]
+        assert [(e.scope, e.record.hang) for e in entries] == [("sweep:vggnet:board0", True)]
+
     def test_point_compute_flag_fills_exact_misses(self, tmp_path):
         idx = CharacterizationIndex(tmp_path, config=CONFIG)
         with pytest.raises(KeyError):

@@ -9,6 +9,7 @@ from repro.analysis.report import generate_report, render_campaign_report
 from repro.core.experiment import ExperimentConfig
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import run_campaign
+from repro.runtime.plan import ExecutionPlan
 
 CFG = ExperimentConfig(repeats=1, samples=16)
 #: One unsharded and one sharded experiment: both merge paths render.
@@ -23,8 +24,8 @@ def experiment_sections(report: str) -> str:
 
 class TestParallelReport:
     def test_jobs_n_tables_byte_identical_to_serial(self):
-        serial = generate_report(CFG, experiment_ids=IDS, jobs=1)
-        parallel = generate_report(CFG, experiment_ids=IDS, jobs=4)
+        serial = generate_report(CFG, experiment_ids=IDS, plan=ExecutionPlan(jobs=1))
+        parallel = generate_report(CFG, experiment_ids=IDS, plan=ExecutionPlan(jobs=4))
         assert experiment_sections(serial) == experiment_sections(parallel)
 
     def test_metadata_table_lists_every_experiment(self):
