@@ -40,7 +40,7 @@ import pytest
 from conftest import run_once
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import run_sweep_campaign
-from repro.serve import make_server, serve_in_thread
+from repro.serve import make_server
 
 #: Serving-path fidelity: the plane's cost is HTTP + dedupe + index
 #: reads, not simulator fidelity, so the store is warmed at a light
@@ -62,7 +62,7 @@ def served(tmp_path_factory, config):
     root = tmp_path_factory.mktemp("bench-serve-cache")
     run_sweep_campaign("vggnet", list(BOARDS), serve_config, cache=ResultCache(root))
     server = make_server(root, port=0, config=serve_config, quiet=True, coalesce_window_s=0.05)
-    serve_in_thread(server)
+    server.start_in_thread()
     yield server
     server.shutdown()
     server.server_close()

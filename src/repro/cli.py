@@ -451,7 +451,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_coordinate(args) -> int:
-    from repro.runtime.coordinator import coordinator_in_thread, make_coordinator
+    from repro.runtime.coordinator import make_coordinator
 
     coordinator = make_coordinator(
         args.targets,
@@ -467,7 +467,7 @@ def _cmd_coordinate(args) -> int:
         access_log=args.access_log,
         quiet=False,
     )
-    thread = coordinator_in_thread(coordinator)
+    thread = coordinator.start_in_thread()
     if args.port_file:
         # The bound address (--port 0 binds ephemerally), for scripts
         # that need to point workers at this coordinator.

@@ -65,11 +65,8 @@ the simplest correctness argument for the journal and cache writes.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
-import signal
-import threading
 import time
 
 from repro.core.experiment import ExperimentConfig
@@ -83,12 +80,11 @@ from repro.runtime.hashing import config_fingerprint, current_version
 from repro.runtime.journal import CampaignJournal, campaign_fingerprint
 from repro.runtime.plan import ExecutionPlan, config_to_wire
 from repro.runtime.wire import (
-    AccessLog,
+    HttpService,
     Request,
+    Response,
     error_bytes,
     json_bytes,
-    read_request,
-    write_response,
 )
 
 #: Default seconds a lease stays exclusive before the unit is re-leased.
@@ -112,6 +108,9 @@ _MAX_ERROR_CHARS = 2000
 #: entries, so the coordinator accepts far larger bodies than the
 #: serving plane's default.
 COORDINATOR_MAX_BODY = 64 << 20
+
+#: Seconds an idle worker connection stays open between requests.
+COORDINATOR_READ_TIMEOUT_S = 10.0
 
 #: Blob names the coordinator will serve: flat store filenames only
 #: (``<key>.npy`` arrays, ``m-<name>.json`` manifests) — no separators,
@@ -391,7 +390,7 @@ class LeaseBoard:
         }
 
 
-class CampaignCoordinator:
+class CampaignCoordinator(HttpService):
     """Asyncio HTTP server distributing one campaign as leased work.
 
     One instance owns the campaign's :class:`LeaseBoard`, the cache it
@@ -399,9 +398,9 @@ class CampaignCoordinator:
     completions.  Boot consults the cache first — already-cached units
     never reach a worker — then serves ``/lease`` / ``/complete`` until
     the board drains, lingers ``linger_s`` so late pollers see
-    ``done``, and stops.  Same embedding surface as the serving plane:
-    :meth:`run_async` inside a loop, or :func:`coordinator_in_thread`
-    for tests and the distributed smoke.
+    ``done``, and stops.  The server lifecycle is the shared
+    :class:`~repro.runtime.wire.HttpService`; this class adds a
+    ``(method, path)`` route table and its handlers.
     """
 
     def __init__(
@@ -422,18 +421,20 @@ class CampaignCoordinator:
     ):
         if cache is None:
             raise ValueError("the coordinator requires a result cache to merge into")
-        self.host, self.port = address
-        self.server_address: tuple[str, int] = address
+        super().__init__(
+            address,
+            server_name="repro-coordinator",
+            quiet=quiet,
+            access_log=access_log,
+            keepalive_timeout_s=COORDINATOR_READ_TIMEOUT_S,
+            max_body=COORDINATOR_MAX_BODY,
+        )
         self.config = config
         self.plan = plan or ExecutionPlan()
         self.cache = cache
         self.journal = journal
         self.resume = bool(resume)
         self.linger_s = float(linger_s)
-        self.quiet = quiet
-        if not isinstance(access_log, AccessLog):
-            access_log = AccessLog(access_log)
-        self.access_log = access_log
         self.units = list(units)
         self.board = LeaseBoard(
             self.units,
@@ -448,18 +449,25 @@ class CampaignCoordinator:
         self._results_merged = 0
         self._points_written = 0
         self._points_skipped = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._server: asyncio.AbstractServer | None = None
         self._linger_armed = False
-        self._ready = threading.Event()
-        self._done = threading.Event()
+        #: ``(method, path)`` -> handler(request) -> dict (200 JSON) or a
+        #: Response; ``/blobs/`` stands for every ``/blobs/<name>``.
+        self._routes = {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/status"): lambda request: self._status_payload(),
+            ("GET", "/blobs"): self._blobs,
+            ("GET", "/blobs/"): self._serve_blob,
+            ("POST", "/lease"): self._lease,
+            ("POST", "/renew"): self._renew,
+            ("POST", "/fail"): self._fail,
+            ("POST", "/complete"): self._complete,
+        }
 
     # ------------------------------------------------------------------
-    # Boot: journal the plan, pre-complete cache hits
+    # Lifecycle hooks: boot, startup line, final report
     # ------------------------------------------------------------------
 
-    def _boot(self) -> None:
+    async def on_start(self) -> None:
         """Journal the unit plan and pre-complete every cache hit.
 
         Runs once before the listener accepts: cached units are
@@ -487,8 +495,27 @@ class CampaignCoordinator:
                 )
         self._arm_linger_if_done()
 
+    def banner(self) -> str:
+        """The startup line: unit counts, address, campaign id."""
+        host, port = self.server_address
+        counts = self.board.counts()
+        return (
+            f"coordinating {len(self.units)} units "
+            f"({counts['completed']} already cached) "
+            f"on http://{host}:{port} (campaign {self.campaign_id})"
+        )
+
+    def stop_report(self) -> str:
+        """The final report: board snapshot, then one line per quarantine."""
+        state = "drained" if self.drained else "stopped early"
+        lines = [f"coordinator {state}: {self.board.snapshot()}"]
+        for unit_id, info in self.board.quarantined().items():
+            error = (info["error"] or "no traceback reported").splitlines()[-1]
+            lines.append(f"QUARANTINED {unit_id}: {info['strikes']} strikes; {error}")
+        return "\n".join(lines)
+
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Campaign state
     # ------------------------------------------------------------------
 
     @property
@@ -532,153 +559,34 @@ class CampaignCoordinator:
                 )
         self._arm_linger_if_done()
 
-    async def run_async(self, install_signal_handlers: bool = False) -> None:
-        """Boot, bind, and serve until the campaign drains (or shutdown)."""
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._stop = asyncio.Event()
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self._stop.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-        try:
-            self._boot()
-            self._server = await asyncio.start_server(self._on_connect, self.host, self.port)
-            self.server_address = self._server.sockets[0].getsockname()[:2]
-            if not self.quiet:
-                host, port = self.server_address
-                counts = self.board.counts()
-                print(
-                    f"coordinating {len(self.units)} units "
-                    f"({counts['completed']} already cached) "
-                    f"on http://{host}:{port} (campaign {self.campaign_id})",
-                    flush=True,
-                )
-            self._ready.set()
-            await self._stop.wait()
-            self._server.close()
-            await self._server.wait_closed()
-            if not self.quiet:
-                state = "drained" if self.drained else "stopped early"
-                print(f"coordinator {state}: {self.board.snapshot()}", flush=True)
-                for unit_id, info in self.board.quarantined().items():
-                    error = (info["error"] or "no traceback reported").splitlines()
-                    print(
-                        f"QUARANTINED {unit_id}: {info['strikes']} strikes; "
-                        f"{error[-1] if error else ''}",
-                        flush=True,
-                    )
-        finally:
-            self.access_log.close()
-            self._ready.set()
-            self._done.set()
-
-    def shutdown(self, timeout: float | None = None) -> None:
-        """Request a stop from any thread; waits until the loop unwinds."""
-        loop, stop = self._loop, self._stop
-        if loop is None or stop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            return
-        self._done.wait(timeout if timeout is not None else 10.0)
-
     def _arm_linger_if_done(self) -> None:
         """Schedule the post-drain stop exactly once."""
         if not self.board.done() or self._linger_armed:
             return
         self._linger_armed = True
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_later(self.linger_s, self._stop.set)
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _on_connect(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        try:
-            while not (self._stop is not None and self._stop.is_set()):
-                request = await read_request(reader, 10.0, max_body=COORDINATOR_MAX_BODY)
-                if request is None:
-                    break
-                if not await self._dispatch(request, writer):
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, BrokenPipeError):
-            pass  # worker went away mid-request; the lease TTL covers it
-        finally:
-            try:
-                writer.close()
-            except RuntimeError:  # pragma: no cover - loop tear-down race
-                pass
-
-    async def _dispatch(self, request: Request, writer: asyncio.StreamWriter) -> bool:
-        start = time.perf_counter()
-        keep_alive = request.keep_alive and not (
-            self._stop is not None and self._stop.is_set()
-        )
-        content_type = "application/json"
-        try:
-            status, body, content_type = self._respond(request)
-        except ValueError as exc:
-            status, body = 400, error_bytes(str(exc))
-        except Exception as exc:  # pragma: no cover - handler escape hatch
-            status, body = 500, error_bytes(f"{type(exc).__name__}: {exc}")
-        try:
-            await write_response(
-                writer,
-                status=status,
-                body=body,
-                server="repro-coordinator",
-                content_type=content_type,
-                keep_alive=keep_alive,
-            )
-        except (ConnectionError, BrokenPipeError):
-            keep_alive = False
-        if self.access_log.enabled:
-            self.access_log.log(
-                {
-                    "method": request.method,
-                    "path": request.target,
-                    "status": status,
-                    "duration_ms": round((time.perf_counter() - start) * 1000.0, 3),
-                }
-            )
-        return keep_alive
+        self._loop.call_later(self.linger_s, self._stop.set)
 
     # ------------------------------------------------------------------
     # Endpoints
     # ------------------------------------------------------------------
 
-    def _respond(self, request: Request) -> tuple[int, bytes, str]:
+    async def handle(self, request: Request) -> Response:
+        """Route one request: 404 unknown path, 405 wrong method, 400 bad body."""
         path = request.target.split("?", 1)[0]
-        if path == "/healthz" and request.method == "GET":
-            counts = self.board.counts()
-            return (
-                200,
-                json_bytes({"status": "ok", "done": self.board.done(), "units": counts}),
-                "application/json",
-            )
-        if path == "/status" and request.method == "GET":
-            return 200, json_bytes(self._status_payload()), "application/json"
-        if path == "/blobs" and request.method == "GET":
-            return 200, json_bytes({"blobs": self._blob_names()}), "application/json"
-        if path.startswith("/blobs/") and request.method == "GET":
-            return self._serve_blob(path[len("/blobs/") :])
-        if path == "/lease" and request.method == "POST":
-            return 200, json_bytes(self._lease(request)), "application/json"
-        if path == "/renew" and request.method == "POST":
-            return 200, json_bytes(self._renew(request)), "application/json"
-        if path == "/fail" and request.method == "POST":
-            return 200, json_bytes(self._fail(request)), "application/json"
-        if path == "/complete" and request.method == "POST":
-            status, payload = self._complete(request)
-            return status, json_bytes(payload), "application/json"
-        if path in ("/healthz", "/status", "/blobs", "/lease", "/renew", "/fail", "/complete"):
-            return 405, error_bytes(f"method {request.method} not allowed"), "application/json"
-        return 404, error_bytes(f"unknown path {path}"), "application/json"
+        route = "/blobs/" if path.startswith("/blobs/") else path
+        handler = self._routes.get((request.method, route))
+        if handler is None:
+            if any(known == route for _, known in self._routes):
+                return Response(405, error_bytes(f"method {request.method} not allowed"))
+            return Response(404, error_bytes(f"unknown path {path}"))
+        try:
+            answer = handler(request)
+        except ValueError as exc:
+            return Response(400, error_bytes(str(exc)))
+        return answer if isinstance(answer, Response) else Response(200, json_bytes(answer))
+
+    def _healthz(self, request: Request) -> dict:
+        return {"status": "ok", "done": self.board.done(), "units": self.board.counts()}
 
     def _status_payload(self) -> dict:
         return {
@@ -690,19 +598,21 @@ class CampaignCoordinator:
             "points_skipped": self._points_skipped,
         }
 
-    def _blob_names(self) -> list[str]:
+    def _blobs(self, request: Request) -> dict:
         root = self.cache.blob_root
         if not root.is_dir():
-            return []
-        return sorted(p.name for p in root.iterdir() if p.is_file() and _BLOB_NAME.match(p.name))
+            return {"blobs": []}
+        names = sorted(p.name for p in root.iterdir() if p.is_file() and _BLOB_NAME.match(p.name))
+        return {"blobs": names}
 
-    def _serve_blob(self, name: str) -> tuple[int, bytes, str]:
+    def _serve_blob(self, request: Request) -> Response:
+        name = request.target.split("?", 1)[0][len("/blobs/") :]
         if not _BLOB_NAME.match(name):
-            return 400, error_bytes(f"invalid blob name {name!r}"), "application/json"
+            return Response(400, error_bytes(f"invalid blob name {name!r}"))
         path = self.cache.blob_root / name
         if not path.is_file():
-            return 404, error_bytes(f"no blob {name!r}"), "application/json"
-        return 200, path.read_bytes(), "application/octet-stream"
+            return Response(404, error_bytes(f"no blob {name!r}"))
+        return Response(200, path.read_bytes(), content_type="application/octet-stream")
 
     def _lease(self, request: Request) -> dict:
         payload = _json_body(request)
@@ -730,27 +640,29 @@ class CampaignCoordinator:
             "campaign_id": self.campaign_id,
         }
 
-    def _complete(self, request: Request) -> tuple[int, dict]:
+    def _complete(self, request: Request) -> dict | Response:
         payload = _json_body(request)
         unit_id = payload.get("unit_id")
         fingerprint = payload.get("fingerprint")
         expected = self._fingerprints.get(unit_id)
         if expected is None:
-            return 409, {"status": "unknown", "error": f"unknown unit {unit_id!r}"}
+            error = {"status": "unknown", "error": f"unknown unit {unit_id!r}"}
+            return Response(409, json_bytes(error))
         if fingerprint != expected:
             # Version or config skew: the worker computed a different
             # cache key than this campaign's.  Reject rather than merge
             # bytes that belong to another fingerprint.
-            return 409, {
+            error = {
                 "status": "rejected",
                 "error": f"fingerprint mismatch for {unit_id!r}: "
                 f"got {fingerprint!r}, expected {expected!r}",
             }
+            return Response(409, json_bytes(error))
         verdict = self.board.complete(unit_id, payload.get("lease_id"))
         if verdict == "accepted":
             self._merge(unit_id, fingerprint, payload)
             self._arm_linger_if_done()
-        return 200, {"status": verdict, "done": self.board.done()}
+        return {"status": verdict, "done": self.board.done()}
 
     def _renew(self, request: Request) -> dict:
         payload = _json_body(request)
@@ -872,32 +784,15 @@ def make_coordinator(
     )
 
 
-def coordinator_in_thread(coordinator: CampaignCoordinator) -> threading.Thread:
-    """Run a coordinator on a daemon thread; returns once it is accepting.
-
-    The embedding surface tests and the distributed smoke use:
-    ``coordinator.server_address`` holds the bound address after this
-    returns, and ``coordinator.shutdown()`` stops it from any thread.
-    """
-
-    def _serve() -> None:
-        asyncio.run(coordinator.run_async())
-
-    thread = threading.Thread(target=_serve, daemon=True, name="repro-coordinator")
-    thread.start()
-    coordinator._ready.wait()
-    return thread
-
-
 __all__ = [
     "COORDINATOR_MAX_BODY",
+    "COORDINATOR_READ_TIMEOUT_S",
     "DEFAULT_LEASE_TTL_S",
     "DEFAULT_LINGER_S",
     "DEFAULT_QUARANTINE_STRIKES",
     "DEFAULT_RETRY_AFTER_S",
     "CampaignCoordinator",
     "LeaseBoard",
-    "coordinator_in_thread",
     "make_coordinator",
     "resolve_work_units",
 ]

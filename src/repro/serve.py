@@ -27,9 +27,9 @@ endpoint                  answers
 Every request runs the pipeline **admission → coalesce → compute →
 conditional response**:
 
-1. **Admission control.**  Connections beyond ``max_connections`` and
-   requests beyond ``max_inflight`` are shed immediately with ``503`` +
-   ``Retry-After`` — overload never grows an unbounded queue.
+1. **Admission control.**  Requests beyond ``max_inflight`` are shed
+   immediately with ``503`` + ``Retry-After`` — overload never grows an
+   unbounded queue (the core caps connections the same way).
    ``/healthz`` and ``/metrics`` are exempt, so probes stay live while
    the data plane sheds.
 2. **Coalescing.**  Identical concurrent queries collapse through an
@@ -50,12 +50,11 @@ conditional response**:
    queries — which makes strong ``ETag`` s trivial: revalidation via
    ``If-None-Match`` answers ``304`` with an empty body.
 
-Operational surface: structured JSON access logs (one canonical-JSON
-object per line), a ``/metrics`` endpoint whose counter names are pinned
-by :data:`METRIC_COUNTER_NAMES` (asserted by the tests so the CI bench
-gates can never silently diverge from the server), and graceful
-shutdown — SIGTERM/SIGINT stop accepting, drain in-flight requests under
-a deadline, flush the access log, and exit 0.
+The ``/metrics`` counter names are pinned by
+:data:`METRIC_COUNTER_NAMES` (asserted by the tests so the CI bench
+gates can never silently diverge from the server).  The connection cap,
+keep-alive, access log, latency histogram and graceful SIGTERM/SIGINT
+drain are the shared :class:`~repro.runtime.wire.HttpService` core.
 
 Misses are 404s by default: a serving instance must never silently turn
 a read into a multi-minute sweep.  Start the server with
@@ -69,9 +68,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import signal
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import parse_qs, urlparse
 
@@ -79,21 +75,22 @@ from repro.core.experiment import ExperimentConfig
 from repro.errors import CampaignError
 from repro.runtime.query import CharacterizationIndex, to_json
 from repro.runtime.wire import (
-    AccessLog,
+    DEFAULT_DRAIN_TIMEOUT_S,
+    DEFAULT_KEEPALIVE_TIMEOUT_S,
+    DEFAULT_MAX_CONNECTIONS,
+    LATENCY_BUCKETS_MS,
+    HttpService,
     Request,
+    Response,
     as_bool,
     as_float,
     as_int,
+    error_bytes,
     etag_matches,
     first_param,
-    read_request,
     strong_etag,
-    write_response,
 )
 from repro.version import __version__
-
-#: Default bound on simultaneously open client connections.
-DEFAULT_MAX_CONNECTIONS = 128
 
 #: Default bound on simultaneously in-flight data-plane requests.
 DEFAULT_MAX_INFLIGHT = 64
@@ -101,16 +98,6 @@ DEFAULT_MAX_INFLIGHT = 64
 #: Default hold (seconds) a completed response stays in the dedupe map.
 #: ``0`` = pure single-flight (only concurrent duplicates collapse).
 DEFAULT_COALESCE_WINDOW_S = 0.0
-
-#: Default deadline (seconds) for draining in-flight requests on shutdown.
-DEFAULT_DRAIN_TIMEOUT_S = 5.0
-
-#: Idle keep-alive connections are closed after this many seconds.
-DEFAULT_KEEPALIVE_TIMEOUT_S = 30.0
-
-#: Upper bounds of the ``/metrics`` latency histogram buckets (ms,
-#: cumulative ``le`` semantics; an implicit ``inf`` bucket ends the list).
-LATENCY_BUCKETS_MS = (0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
 
 #: The ``/metrics`` counter names, pinned: the CI bench gates key off
 #: these, and ``tests/test_serve.py`` asserts the endpoint serves exactly
@@ -333,73 +320,17 @@ class AsyncDedupeMap:
 
 
 # ----------------------------------------------------------------------
-# Observability: latency histogram, metrics, access log
-# ----------------------------------------------------------------------
-
-
-class LatencyHistogram:
-    """Fixed-bucket request-latency histogram (cumulative ``le`` counts).
-
-    Mutated only from the event loop, so it needs no lock; the bucket
-    bounds are :data:`LATENCY_BUCKETS_MS` plus an implicit ``inf``.
-    """
-
-    def __init__(self, bounds_ms: tuple[float, ...] = LATENCY_BUCKETS_MS):
-        self.bounds_ms = bounds_ms
-        self._counts = [0] * (len(bounds_ms) + 1)
-        self.count = 0
-        self.sum_ms = 0.0
-
-    def observe(self, duration_ms: float) -> None:
-        """Record one request's wall-clock duration."""
-        self.count += 1
-        self.sum_ms += duration_ms
-        for i, bound in enumerate(self.bounds_ms):
-            if duration_ms <= bound:
-                self._counts[i] += 1
-                return
-        self._counts[-1] += 1
-
-    def as_dict(self) -> dict:
-        """JSON-able payload: cumulative ``le`` buckets, count, sum."""
-        buckets = {}
-        running = 0
-        for bound, count in zip(self.bounds_ms, self._counts):
-            running += count
-            buckets[f"{bound:g}"] = running
-        buckets["inf"] = running + self._counts[-1]
-        return {
-            "buckets_le_ms": buckets,
-            "count": self.count,
-            "sum_ms": round(self.sum_ms, 3),
-        }
-
-
-class _Connection:
-    """Book-keeping for one client connection (event-loop only)."""
-
-    __slots__ = ("writer", "busy")
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self.busy = False
-
-
-# ----------------------------------------------------------------------
 # The server
 # ----------------------------------------------------------------------
 
 
-class AsyncCharacterizationServer:
+class AsyncCharacterizationServer(HttpService):
     """Asyncio HTTP/1.1 server over one characterization index.
 
     One instance owns the index, the bounded compute pool, the dedupe
-    map, the metrics, and the access log.  It can run three ways: the
-    blocking CLI entry (:func:`serve`), embedded on a background thread
-    (:func:`serve_in_thread` — the tests' pattern, with the
-    ``shutdown()`` / ``server_close()`` / ``server_address`` surface the
-    old threading server had), or directly via :meth:`run_async` inside
-    an existing event loop.
+    map and the ``/metrics`` payload, on the lifecycle of
+    :class:`~repro.runtime.wire.HttpService`; stop it with ``shutdown()``
+    then ``server_close()``.
     """
 
     def __init__(
@@ -416,257 +347,103 @@ class AsyncCharacterizationServer:
         access_log=None,
         precompute: bool = True,
     ):
+        super().__init__(
+            address,
+            server_name=f"repro-serve/{__version__}",
+            quiet=quiet,
+            access_log=access_log,
+            max_connections=max_connections,
+            keepalive_timeout_s=keepalive_timeout_s,
+            drain_timeout_s=drain_timeout_s,
+        )
         self.index = index
         self.allow_compute = allow_compute
-        self.quiet = quiet
-        self.host, self.port = address
-        self.max_connections = int(max_connections)
         self.max_inflight = int(max_inflight)
         self.coalesce_window_s = float(coalesce_window_s)
-        self.drain_timeout_s = float(drain_timeout_s)
-        self.keepalive_timeout_s = float(keepalive_timeout_s)
         self.precompute = precompute
-        if not isinstance(access_log, AccessLog):
-            access_log = AccessLog(access_log)
-        self.access_log = access_log
-        self.server_address: tuple[str, int] = address
         self.dedupe = AsyncDedupeMap()
-        self.latency = LatencyHistogram()
-        self._counters = {name: 0 for name in METRIC_COUNTER_NAMES}
+        self.counters.update(dict.fromkeys(METRIC_COUNTER_NAMES, 0))
         self._inflight = 0
         self._inflight_peak = 0
         self._precomputed = 0
-        self._conns: set[_Connection] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop: asyncio.Event | None = None
-        self._server: asyncio.AbstractServer | None = None
         self._executor: ThreadPoolExecutor | None = None
-        self._ready = threading.Event()
-        self._done = threading.Event()
 
     # ------------------------------------------------------------------
-    # Lifecycle
+    # Lifecycle hooks
     # ------------------------------------------------------------------
 
-    def _compute_workers(self) -> int:
-        """Size of the bounded compute pool.
+    async def on_start(self) -> None:
+        """Start the compute pool and precompute the landmark rows."""
+        # Admission bounds concurrent data-plane requests at max_inflight;
+        # the pool adds headroom so the admission-exempt endpoints always
+        # find a worker, and caps total threads — beyond the cap, admitted
+        # requests queue (bounded by admission, never by client count).
+        workers = max(4, min(self.max_inflight, 32)) + 2
+        self._executor = ThreadPoolExecutor(workers, thread_name_prefix="serve-compute")
+        if self.precompute:
+            self._precomputed = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self.index.precompute_landmarks
+            )
 
-        Admission bounds concurrent data-plane requests at
-        ``max_inflight``; the pool adds headroom so the admission-exempt
-        endpoints always find a worker, and caps total threads — beyond
-        the cap, admitted requests queue (bounded by admission, never by
-        client count).
-        """
-        return max(4, min(self.max_inflight, 32)) + 2
+    def on_close(self) -> None:
+        """Stop the compute pool."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)
 
-    async def run_async(self, install_signal_handlers: bool = False) -> None:
-        """Bind, precompute, and serve until :meth:`shutdown` (or signal).
-
-        The graceful-shutdown path: stop accepting, close idle
-        keep-alive connections, drain in-flight requests under
-        ``drain_timeout_s``, force-close stragglers, flush the access
-        log.
-        """
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._stop = asyncio.Event()
-        if install_signal_handlers:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self._stop.set)
-                except (NotImplementedError, RuntimeError):  # pragma: no cover
-                    pass
-        self._executor = ThreadPoolExecutor(
-            max_workers=self._compute_workers(), thread_name_prefix="serve-compute"
+    def banner(self) -> str:
+        """The startup line (``benchmarks/e2e/run.py`` parses its address)."""
+        stats = self.index.stats()
+        host, port = self.server_address
+        return (
+            f"serving characterization index of {self.index.cache_dir} "
+            f"({stats['points']['indexed']} points, {stats['datasets']} datasets) "
+            f"on http://{host}:{port} "
+            f"(compute={'on' if self.allow_compute else 'off'}, "
+            f"max-inflight={self.max_inflight}, "
+            f"precomputed {self._precomputed} landmark rows)"
         )
-        try:
-            self._server = await asyncio.start_server(self._on_connect, self.host, self.port)
-            self.server_address = self._server.sockets[0].getsockname()[:2]
-            if self.precompute:
-                self._precomputed = await loop.run_in_executor(
-                    self._executor, self.index.precompute_landmarks
-                )
-            if not self.quiet:
-                stats = self.index.stats()
-                host, port = self.server_address
-                print(
-                    f"serving characterization index of {self.index.cache_dir} "
-                    f"({stats['points']['indexed']} points, {stats['datasets']} datasets) "
-                    f"on http://{host}:{port} "
-                    f"(compute={'on' if self.allow_compute else 'off'}, "
-                    f"max-inflight={self.max_inflight}, "
-                    f"precomputed {self._precomputed} landmark rows)",
-                    flush=True,  # operators tail piped logs; don't sit in the buffer
-                )
-            self._ready.set()
-            await self._stop.wait()
-            await self._drain()
-            if not self.quiet:
-                print("shutting down: drained in-flight requests, access log flushed", flush=True)
-        finally:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-            self.access_log.close()
-            self._ready.set()
-            self._done.set()
 
-    async def _drain(self) -> None:
-        """Stop accepting, drain in-flight requests, close every connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for conn in list(self._conns):
-            if not conn.busy:
-                conn.writer.close()
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout_s
-        while any(c.busy for c in self._conns) and loop.time() < deadline:
-            await asyncio.sleep(0.01)
-        for conn in list(self._conns):
-            conn.writer.close()
-        # Give connection handlers one tick to observe their closed
-        # transports and unwind before the loop is torn down.
-        await asyncio.sleep(0)
-
-    def shutdown(self, timeout: float | None = None) -> None:
-        """Request a graceful stop from any thread; waits for the drain."""
-        loop, stop = self._loop, self._stop
-        if loop is None or stop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:  # loop already closed
-            return
-        self._done.wait(timeout if timeout is not None else self.drain_timeout_s + 10.0)
+    def stop_report(self) -> str:
+        """The line printed after a graceful stop."""
+        return "shutting down: drained in-flight requests, access log flushed"
 
     def server_close(self) -> None:
         """Release the index's resources (idempotent; after shutdown)."""
         self.index.close()
 
     # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _on_connect(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._counters["connections_total"] += 1
-        if len(self._conns) >= self.max_connections:
-            self._counters["connections_rejected_total"] += 1
-            await self._write_response(
-                writer,
-                status=503,
-                body=to_json({"error": "connection limit reached"}).encode("utf-8"),
-                extra_headers={"Retry-After": "1"},
-                keep_alive=False,
-            )
-            writer.close()
-            return
-        conn = _Connection(writer)
-        self._conns.add(conn)
-        try:
-            while not (self._stop is not None and self._stop.is_set()):
-                # Bodies are tolerated (drained by the reader) so
-                # keep-alive framing survives a confused client, but this
-                # service never interprets them.
-                request = await read_request(reader, self.keepalive_timeout_s)
-                if request is None:
-                    break
-                conn.busy = True
-                try:
-                    keep = await self._dispatch(request, writer)
-                finally:
-                    conn.busy = False
-                if not keep:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError, BrokenPipeError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            self._conns.discard(conn)
-            try:
-                writer.close()
-            except RuntimeError:  # pragma: no cover - loop tear-down race
-                pass
-
-    # ------------------------------------------------------------------
     # Request pipeline: admission -> coalesce -> compute -> conditional
     # ------------------------------------------------------------------
 
-    async def _dispatch(self, request: Request, writer: asyncio.StreamWriter) -> bool:
-        """Run one request through the pipeline; returns keep-alive."""
-        start = time.perf_counter()
-        self._counters["requests_total"] += 1
-        keep_alive = request.keep_alive and not (self._stop is not None and self._stop.is_set())
+    async def handle(self, request: Request) -> Response:
+        """Run one request through the pipeline."""
         url = urlparse(request.target)
         path = url.path
-        send_body = request.method != "HEAD"
-        source = "computed"
         if request.method not in ("GET", "HEAD"):
-            status, body = (
-                405,
-                to_json({"error": f"method {request.method} not allowed"}).encode("utf-8"),
-            )
-            extra = {"Allow": "GET, HEAD"}
-        elif path not in ADMISSION_EXEMPT_PATHS and self._inflight >= self.max_inflight:
-            self._counters["shed_total"] += 1
-            status, body = (
-                503,
-                to_json({"error": "server at max in-flight requests; retry"}).encode("utf-8"),
-            )
-            extra = {"Retry-After": "1"}
-            source = "shed"
-        else:
-            exempt = path in ADMISSION_EXEMPT_PATHS
+            error = error_bytes(f"method {request.method} not allowed")
+            return Response(405, error, headers={"Allow": "GET, HEAD"})
+        exempt = path in ADMISSION_EXEMPT_PATHS
+        if not exempt and self._inflight >= self.max_inflight:
+            self.counters["shed_total"] += 1
+            error = error_bytes("server at max in-flight requests; retry")
+            return Response(503, error, headers={"Retry-After": "1"}, source="shed")
+        if not exempt:
+            self._inflight += 1
+            self._inflight_peak = max(self._inflight_peak, self._inflight)
+        try:
+            status, body, source = await self._respond(path, url.query)
+        finally:
             if not exempt:
-                self._inflight += 1
-                self._inflight_peak = max(self._inflight_peak, self._inflight)
-            try:
-                status, body, source = await self._respond(path, url.query)
-            except Exception as exc:  # the dedupe future carried an escape
-                status, body = (
-                    500,
-                    to_json({"error": f"{type(exc).__name__}: {exc}"}).encode("utf-8"),
-                )
-                source = "error"
-            finally:
-                if not exempt:
-                    self._inflight -= 1
-            extra = {}
-        if status >= 500:
-            self._counters["errors_total"] += 1
+                self._inflight -= 1
+        headers = {}
         if status == 200:
             etag = strong_etag(body)
-            extra["ETag"] = etag
-            extra["Cache-Control"] = "no-cache"
+            headers["ETag"] = etag
+            headers["Cache-Control"] = "no-cache"
             if etag_matches(request.headers.get("if-none-match"), etag):
-                self._counters["not_modified_total"] += 1
+                self.counters["not_modified_total"] += 1
                 status, body = 304, b""
-        try:
-            await self._write_response(
-                writer,
-                status=status,
-                body=body,
-                extra_headers=extra,
-                keep_alive=keep_alive,
-                send_body=send_body,
-            )
-        except (ConnectionError, BrokenPipeError):
-            keep_alive = False
-        duration_ms = (time.perf_counter() - start) * 1000.0
-        self.latency.observe(duration_ms)
-        if self.access_log.enabled:
-            peer = writer.get_extra_info("peername")
-            self.access_log.log(
-                {
-                    "ts": round(time.time(), 6),
-                    "client": f"{peer[0]}:{peer[1]}" if peer else "?",
-                    "method": request.method,
-                    "path": request.target,
-                    "status": status,
-                    "bytes": len(body),
-                    "dur_ms": round(duration_ms, 3),
-                    "source": source,
-                }
-            )
-        return keep_alive
+        return Response(status, body, headers=headers, source=source)
 
     async def _respond(self, path: str, query: str) -> tuple[int, bytes, str]:
         """Produce ``(status, body, source)`` for one admitted request."""
@@ -682,31 +459,12 @@ class AsyncCharacterizationServer:
             return status, body, "inline"
         key = (path, tuple(sorted((k, tuple(v)) for k, v in params.items())))
         hold_s = self.coalesce_window_s if path in WINDOW_CACHEABLE_PATHS else 0.0
-        self._counters["dedupe_requests_total"] += 1
+        self.counters["dedupe_requests_total"] += 1
         (status, body), source = await self.dedupe.run(key, call, self._executor, hold_s=hold_s)
-        self._counters["computations_total"] = self.dedupe.computations
-        self._counters["coalesced_total"] = self.dedupe.coalesced
-        self._counters["window_hits_total"] = self.dedupe.window_hits
+        self.counters["computations_total"] = self.dedupe.computations
+        self.counters["coalesced_total"] = self.dedupe.coalesced
+        self.counters["window_hits_total"] = self.dedupe.window_hits
         return status, body, source
-
-    async def _write_response(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        body: bytes,
-        extra_headers: dict | None = None,
-        keep_alive: bool = True,
-        send_body: bool = True,
-    ) -> None:
-        await write_response(
-            writer,
-            status,
-            body,
-            server=f"repro-serve/{__version__}",
-            extra_headers=extra_headers,
-            keep_alive=keep_alive,
-            send_body=send_body,
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -720,7 +478,7 @@ class AsyncCharacterizationServer:
         keyed on by the CI bench gates.
         """
         return {
-            "counters": {name: self._counters[name] for name in METRIC_COUNTER_NAMES},
+            "counters": {name: self.counters[name] for name in METRIC_COUNTER_NAMES},
             "gauges": {
                 "connections_active": len(self._conns),
                 "in_flight": self._inflight,
@@ -765,45 +523,14 @@ def make_server(
     )
 
 
-def serve_in_thread(server: AsyncCharacterizationServer) -> threading.Thread:
-    """Run the server's event loop on a daemon thread (tests/embedding).
-
-    Blocks until the server is bound (so ``server.server_address`` is
-    final).  Call ``server.shutdown()`` (graceful drain) then
-    ``server.server_close()`` to stop.
-    """
-    thread = threading.Thread(target=lambda: asyncio.run(server.run_async()), daemon=True)
-    thread.start()
-    server._ready.wait()
-    return thread
-
-
-def serve(
-    cache_dir: str,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    config: ExperimentConfig | None = None,
-    allow_compute: bool = False,
-    lru_capacity: int | None = None,
-    jobs: int = 1,
-    **server_kwargs,
-) -> int:
+def serve(cache_dir: str, **kwargs) -> int:
     """Blocking entry point behind ``repro-undervolt serve``.
 
-    Installs SIGTERM/SIGINT handlers: either signal stops accepting,
-    drains in-flight requests under the drain deadline, flushes the
-    access log, and returns 0.
+    Takes :func:`make_server`'s arguments.  Installs SIGTERM/SIGINT
+    handlers: either signal stops accepting, drains in-flight requests
+    under the drain deadline, flushes the access log, and returns 0.
     """
-    server = make_server(
-        cache_dir,
-        host=host,
-        port=port,
-        config=config,
-        allow_compute=allow_compute,
-        lru_capacity=lru_capacity,
-        jobs=jobs,
-        **server_kwargs,
-    )
+    server = make_server(cache_dir, **kwargs)
     try:
         asyncio.run(server.run_async(install_signal_handlers=True))
     except KeyboardInterrupt:  # pragma: no cover - non-POSIX fallback
@@ -815,7 +542,6 @@ def serve(
 
 __all__ = [
     "ADMISSION_EXEMPT_PATHS",
-    "AccessLog",
     "AsyncCharacterizationServer",
     "AsyncDedupeMap",
     "DEFAULT_COALESCE_WINDOW_S",
@@ -823,7 +549,6 @@ __all__ = [
     "DEFAULT_MAX_CONNECTIONS",
     "DEFAULT_MAX_INFLIGHT",
     "LATENCY_BUCKETS_MS",
-    "LatencyHistogram",
     "METRIC_COUNTER_NAMES",
     "METRIC_GAUGE_NAMES",
     "WINDOW_CACHEABLE_PATHS",
@@ -831,6 +556,5 @@ __all__ = [
     "make_server",
     "render_response",
     "serve",
-    "serve_in_thread",
     "strong_etag",
 ]

@@ -13,6 +13,7 @@ Three layers, cheapest first:
    run, and rendering from the merged cache must be byte-identical too.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -25,7 +26,6 @@ from repro.runtime.cache import ResultCache, normalize_result, result_to_payload
 from repro.runtime.campaign import run_sweep_campaign, run_sweep_unit, sweep_unit_id
 from repro.runtime.coordinator import (
     LeaseBoard,
-    coordinator_in_thread,
     make_coordinator,
     resolve_work_units,
 )
@@ -144,7 +144,7 @@ class TestResolveWorkUnits:
 def _start_coordinator(tmp_path, targets, **kwargs):
     kwargs.setdefault("linger_s", 0.4)
     coordinator = make_coordinator(targets, tmp_path / "coord-cache", config=CFG, **kwargs)
-    thread = coordinator_in_thread(coordinator)
+    thread = coordinator.start_in_thread()
     url = "http://%s:%s" % coordinator.server_address
     return coordinator, thread, url
 
@@ -284,12 +284,61 @@ class TestCoordinatorHTTP:
             linger_s=0.2,
             resume=True,
         )
-        thread2 = coordinator_in_thread(second)
+        thread2 = second.start_in_thread()
         stats = run_worker("http://%s:%s" % second.server_address, tmp_path / "w2", worker_id="w2")
         thread2.join(timeout=30)
         assert stats.units_completed == 0 and stats.stopped == "drained"
         run = second.journal.last_run(second.campaign_id)
         assert run["resumed"] == 1 and run["recomputed"] == 0 and run["fresh"] == 0
+
+
+def _exchange(conn: http.client.HTTPConnection, method: str, path: str, body=None):
+    """One request on an open connection: ``(status, decoded JSON body)``."""
+    conn.request(method, path, body=body)
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestCoordinatorProtocolEdges:
+    """Routing and body-validation answers the route table must keep."""
+
+    @pytest.fixture()
+    def conn(self, tmp_path):
+        coordinator, thread, _ = _start_coordinator(tmp_path, ["sweep:vggnet:board0"])
+        conn = http.client.HTTPConnection(*coordinator.server_address, timeout=10)
+        yield conn
+        conn.close()
+        coordinator.shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_unknown_path_is_404(self, conn):
+        status, payload = _exchange(conn, "GET", "/nope")
+        assert status == 404 and "/nope" in payload["error"]
+
+    def test_wrong_method_is_405(self, conn):
+        status, payload = _exchange(conn, "GET", "/lease")
+        assert status == 405 and "GET" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(b"{not json", "not valid JSON"), (b"[1, 2]", "must be a JSON object")],
+    )
+    def test_malformed_json_body_is_400(self, conn, body, message):
+        status, payload = _exchange(conn, "POST", "/lease", body=body)
+        assert status == 400 and message in payload["error"]
+
+    @pytest.mark.parametrize("path", ["/renew", "/fail"])
+    def test_missing_unit_id_is_400(self, conn, path):
+        status, payload = _exchange(conn, "POST", path, body=b'{"lease_id": "L1"}')
+        assert status == 400 and "unit_id" in payload["error"]
+
+    def test_two_requests_share_one_keepalive_connection(self, conn):
+        assert _exchange(conn, "GET", "/healthz")[0] == 200
+        sock = conn.sock
+        status, payload = _exchange(conn, "GET", "/status")
+        assert status == 200 and payload["board"]["units"]["pending"] == 1
+        assert conn.sock is sock  # no reconnect between the two requests
 
 
 class TestBlobSync:

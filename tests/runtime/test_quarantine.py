@@ -13,7 +13,6 @@ from repro.core.experiment import ExperimentConfig
 from repro.runtime.coordinator import (
     CampaignCoordinator,
     LeaseBoard,
-    coordinator_in_thread,
 )
 from repro.runtime.journal import CampaignJournal, ResumeStats
 
@@ -125,7 +124,7 @@ class TestCoordinatorQuarantine:
         from repro.runtime.remote_worker import CoordinatorClient
 
         coordinator = self._coordinator(tmp_path, strikes=2)
-        thread = coordinator_in_thread(coordinator)
+        thread = coordinator.start_in_thread()
         try:
             url = "http://%s:%s" % coordinator.server_address
             client = CoordinatorClient(url)
@@ -150,7 +149,7 @@ class TestCoordinatorQuarantine:
         from repro.runtime.remote_worker import CoordinatorClient
 
         coordinator = self._coordinator(tmp_path)
-        thread = coordinator_in_thread(coordinator)
+        thread = coordinator.start_in_thread()
         try:
             url = "http://%s:%s" % coordinator.server_address
             client = CoordinatorClient(url)

@@ -9,7 +9,10 @@ sheds; ETag revalidation answers 304; the ``/metrics`` counter names are
 pinned to :data:`repro.serve.METRIC_COUNTER_NAMES` (the CI bench gates
 key off them); and graceful shutdown drains in-flight requests and
 flushes the structured access log — including the real-process
-SIGTERM path the CI smoke step relies on.
+SIGTERM path the CI smoke step relies on.  The lifecycle both HTTP
+services share (connection cap, stop from another thread, access-log
+records) is checked against the serving plane and the campaign
+coordinator alike.
 """
 
 import http.client
@@ -17,6 +20,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -31,17 +35,20 @@ import repro.runtime.campaign as campaign_mod
 from repro.core.experiment import ExperimentConfig
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import run_sweep_campaign
+from repro.runtime.coordinator import make_coordinator
 from repro.serve import (
     LATENCY_BUCKETS_MS,
     METRIC_COUNTER_NAMES,
     METRIC_GAUGE_NAMES,
     etag_matches,
     make_server,
-    serve_in_thread,
     strong_etag,
 )
 
 CONFIG = ExperimentConfig(repeats=1, samples=8)
+
+#: The fields of every access-log record, from either service.
+ACCESS_LOG_FIELDS = {"ts", "client", "method", "path", "status", "bytes", "dur_ms", "source"}
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +61,7 @@ def warm_cache(tmp_path_factory):
 @pytest.fixture()
 def server(warm_cache):
     server = make_server(warm_cache, port=0, config=CONFIG, quiet=True)
-    serve_in_thread(server)
+    server.start_in_thread()
     yield server
     server.shutdown()
     server.server_close()
@@ -180,7 +187,7 @@ class TestComputeEnabled:
         server = make_server(
             tmp_path, port=0, config=CONFIG, allow_compute=True, quiet=True
         )
-        serve_in_thread(server)
+        server.start_in_thread()
         try:
             _, body = get(server, "/landmarks?benchmark=vggnet&board=0&compute=1")
             (row,) = json.loads(body)["landmarks"]
@@ -275,7 +282,7 @@ class TestCoalescing:
         server = make_server(
             warm_cache, port=0, config=CONFIG, quiet=True, coalesce_window_s=5.0
         )
-        serve_in_thread(server)
+        server.start_in_thread()
         try:
             path = "/landmarks?benchmark=vggnet"
             _, first, _ = get_with_headers(server, path)
@@ -297,7 +304,7 @@ class TestAdmission:
         server = make_server(
             warm_cache, port=0, config=CONFIG, quiet=True, max_inflight=2
         )
-        serve_in_thread(server)
+        server.start_in_thread()
         blocker = _BlockingLandmarks(server.index)
         monkeypatch.setattr(server.index, "landmarks", blocker)
         try:
@@ -335,7 +342,7 @@ class TestAdmission:
         server = make_server(
             warm_cache, port=0, config=CONFIG, quiet=True, max_inflight=0
         )
-        serve_in_thread(server)
+        server.start_in_thread()
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 get_with_headers(server, "/landmarks?benchmark=vggnet")
@@ -424,7 +431,7 @@ class TestGracefulShutdown:
         server = make_server(
             warm_cache, port=0, config=CONFIG, quiet=True, access_log=str(log_path)
         )
-        serve_in_thread(server)
+        server.start_in_thread()
         blocker = _BlockingLandmarks(server.index)
         monkeypatch.setattr(server.index, "landmarks", blocker)
         try:
@@ -443,9 +450,7 @@ class TestGracefulShutdown:
             (record,) = [r for r in records if r["path"].startswith("/landmarks")]
             assert record["status"] == 200
             assert record["source"] == "computed"
-            assert set(record) >= {
-                "ts", "client", "method", "path", "status", "bytes", "dur_ms", "source"
-            }
+            assert set(record) >= ACCESS_LOG_FIELDS
         finally:
             blocker.release.set()
             server.server_close()
@@ -484,3 +489,96 @@ class TestGracefulShutdown:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+@pytest.fixture(params=["serve", "coordinator"])
+def make_service(request, warm_cache, tmp_path):
+    """Build either HTTP service (unstarted); both run on one core."""
+    built = []
+
+    def build(**kwargs):
+        if request.param == "serve":
+            service = make_server(warm_cache, port=0, config=CONFIG, quiet=True, **kwargs)
+        else:
+            service = make_coordinator(
+                ["sweep:vggnet:board0"], tmp_path / "coord", config=CONFIG, **kwargs
+            )
+        built.append(service)
+        return service
+
+    yield build
+    for service in built:
+        service.shutdown()
+        if hasattr(service, "server_close"):
+            service.server_close()
+
+
+def _keepalive_get(conn: http.client.HTTPConnection, path: str) -> int:
+    conn.request("GET", path)
+    response = conn.getresponse()
+    response.read()
+    assert response.headers["Connection"] == "keep-alive"
+    return response.status
+
+
+class TestServiceLifecycle:
+    def test_connection_past_the_cap_gets_503_retry_after(self, make_service):
+        service = make_service()
+        service.max_connections = 2  # the coordinator has no constructor knob for it
+        service.start_in_thread()
+        host, port = service.server_address
+        held = [http.client.HTTPConnection(host, port, timeout=10) for _ in range(2)]
+        try:
+            assert [_keepalive_get(conn, "/healthz") for conn in held] == [200, 200]
+            with socket.create_connection((host, port), timeout=10) as sock:
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 503 ")
+            assert b"Retry-After: 1" in head and b"Connection: close" in head
+            assert json.loads(body) == {"error": "connection limit reached"}
+            assert service.counters["connections_rejected_total"] == 1
+            if hasattr(service, "metrics"):
+                counters = service.metrics()["counters"]
+                assert counters["connections_rejected_total"] == 1
+                assert counters["connections_total"] == 3
+        finally:
+            for conn in held:
+                conn.close()
+
+    def test_shutdown_from_another_thread_closes_idle_keepalive(self, make_service):
+        service = make_service()
+        thread = service.start_in_thread()
+        conn = http.client.HTTPConnection(*service.server_address, timeout=10)
+        try:
+            assert _keepalive_get(conn, "/healthz") == 200
+            stopper = threading.Thread(target=service.shutdown)
+            started = time.monotonic()
+            stopper.start()
+            stopper.join(timeout=service.drain_timeout_s + 5.0)
+            assert not stopper.is_alive()
+            assert time.monotonic() - started < service.drain_timeout_s
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert conn.sock.recv(1) == b""  # the server closed the idle connection
+        finally:
+            conn.close()
+
+    def test_access_log_has_one_record_per_request(self, make_service, tmp_path):
+        log_path = tmp_path / "access.jsonl"
+        service = make_service(access_log=str(log_path))
+        service.start_in_thread()
+        conn = http.client.HTTPConnection(*service.server_address, timeout=10)
+        try:
+            assert _keepalive_get(conn, "/healthz") == 200
+            assert _keepalive_get(conn, "/nope") == 404
+        finally:
+            conn.close()
+        service.shutdown()
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [(r["method"], r["path"], r["status"]) for r in records] == [
+            ("GET", "/healthz", 200),
+            ("GET", "/nope", 404),
+        ]
+        assert all(set(record) == ACCESS_LOG_FIELDS for record in records)
