@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 
 @dataclass(frozen=True)
 class Summary:
@@ -34,7 +32,12 @@ class Summary:
 
 
 def summarize(values: Sequence[float]) -> Summary:
-    """Mean, sample std, and 95% t-interval half-width."""
+    """Mean, sample std, and 95% t-interval half-width.
+
+    The Student-t quantile comes from :mod:`scipy.stats`, imported on the
+    first call with two or more values; nothing else in the package needs
+    scipy.
+    """
     values = list(values)
     if not values:
         raise ValueError("cannot summarize an empty sequence")
@@ -44,6 +47,8 @@ def summarize(values: Sequence[float]) -> Summary:
         return Summary(n=1, mean=mean, std=0.0, ci95_half_width=0.0)
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     std = math.sqrt(var)
+    from scipy import stats as _scipy_stats
+
     t_crit = float(_scipy_stats.t.ppf(0.975, df=n - 1))
     return Summary(n=n, mean=mean, std=std, ci95_half_width=t_crit * std / math.sqrt(n))
 

@@ -200,6 +200,8 @@ class Calibration:
         if not 0.0 < self.dynamic_fraction_vnom < 1.0:
             raise ValueError("dynamic_fraction_vnom must lie in (0, 1)")
         anchors = self.fsafe_anchors_mhz
+        if len(anchors) < 2:
+            raise ValueError(f"need at least two fsafe anchors, got {len(anchors)}")
         if any(a[0] >= b[0] for a, b in zip(anchors, anchors[1:])):
             raise ValueError("fsafe anchors must be strictly increasing in V")
         if any(a[1] >= b[1] for a, b in zip(anchors, anchors[1:])):

@@ -23,14 +23,12 @@ drives the fault model in :mod:`repro.faults`.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from repro.fpga.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.units import clamp
 
 
 def itd_factor(cal: Calibration, v: float, t_c: float | None) -> float:
@@ -82,6 +80,53 @@ class DelayModel:
         return max(safe) if safe else None
 
 
+def _pchip_edge_slope(h0, h1, m0, m1):
+    """One-sided three-point end slope, limited to preserve shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant (Fritsch-Butland).
+
+    Bit-identical to ``scipy.interpolate.PchipInterpolator(x, y,
+    extrapolate=False)`` on ``[x[0], x[-1]]``: the knot slopes and the
+    per-interval power-basis coefficients use scipy's float64 operations,
+    and evaluation sums the terms in scipy's order.  ``x`` must be strictly
+    increasing with at least two points.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = x[1:] - x[:-1]
+        m = (y[1:] - y[:-1]) / h
+        d = np.empty_like(y)
+        if len(x) == 2:
+            d[:] = m[0]
+        else:
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+            d[0] = _pchip_edge_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        coeffs = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]), axis=1)
+        self._x = x.tolist()
+        self._coeffs = coeffs.tolist()
+
+    def __call__(self, v: float) -> float:
+        i = min(bisect_right(self._x, v) - 1, len(self._x) - 2)
+        c0, c1, c2, c3 = self._coeffs[i]
+        s = v - self._x[i]
+        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * ((s * s) * s)
+
+
 class CalibratedDelayModel(DelayModel):
     """Monotone interpolation of the paper's measured Fsafe(V) anchors."""
 
@@ -94,7 +139,7 @@ class CalibratedDelayModel(DelayModel):
         anchors = np.asarray(cal.fsafe_anchors_mhz, dtype=float)
         self._v_anchor = anchors[:, 0]
         self._f_anchor = anchors[:, 1]
-        self._interp = PchipInterpolator(self._v_anchor, self._f_anchor, extrapolate=False)
+        self._interp = _Pchip(self._v_anchor, self._f_anchor)
         # Linear extension slopes outside the anchor range.
         self._lo_slope = (self._f_anchor[1] - self._f_anchor[0]) / (
             self._v_anchor[1] - self._v_anchor[0]

@@ -2,8 +2,9 @@
 
 ResNet's residual connections and GoogleNet/Inception's parallel branches
 make the benchmark set genuinely graph-shaped, so the executor schedules
-nodes in topological order (validated with :mod:`networkx`) rather than as
-a simple chain.
+nodes in topological order rather than as a simple chain.  Because
+:meth:`Graph.add` only accepts edges from nodes already in the graph,
+insertion order is itself a topological order.
 
 The executor exposes one hook used by the rest of the system: after every
 *compute* layer (conv/dense) the output is re-quantized to the model's
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import GraphError
@@ -44,14 +44,13 @@ class Node:
 class Graph:
     """A directed acyclic model graph.
 
-    Build with :meth:`add`; the insertion API rejects duplicate names,
-    dangling references, and (at finalization) cycles.
+    Build with :meth:`add`; the insertion API rejects duplicate names and
+    references to nodes not yet added, so a graph can never hold a cycle.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._nodes: dict[str, Node] = {}
-        self._order: list[str] | None = None
         self._output: str | None = None
 
     # ---- construction ----------------------------------------------------
@@ -69,7 +68,6 @@ class Graph:
             if src not in self._nodes:
                 raise GraphError(f"node {layer.name!r} references unknown input {src!r}")
         self._nodes[layer.name] = Node(layer=layer, inputs=inputs)
-        self._order = None
         self._output = layer.name  # last added is the default output
         return layer.name
 
@@ -93,26 +91,14 @@ class Graph:
     def input_nodes(self) -> list[Node]:
         return [n for n in self._nodes.values() if isinstance(n.layer, Input)]
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        for node in self._nodes.values():
-            for src in node.inputs:
-                g.add_edge(src, node.name)
-        return g
-
     def topological_order(self) -> list[str]:
-        """Topologically sorted node names (cached; validates acyclicity)."""
-        if self._order is None:
-            g = self.to_networkx()
-            if not nx.is_directed_acyclic_graph(g):
-                cycle = nx.find_cycle(g)
-                raise GraphError(f"graph has a cycle: {cycle}")
-            # Deterministic tie-breaking by insertion index.
-            index = {name: i for i, name in enumerate(self._nodes)}
-            order = list(nx.lexicographical_topological_sort(g, key=lambda n: index[n]))
-            self._order = order
-        return list(self._order)
+        """Node names in topological order: the insertion order.
+
+        Every node's inputs were added before it, so the smallest-index
+        ready node is always the next one inserted — this is the
+        lexicographical topological sort keyed by insertion index.
+        """
+        return list(self._nodes)
 
     # ---- shape inference ----------------------------------------------------
 

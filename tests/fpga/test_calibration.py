@@ -52,6 +52,11 @@ class TestValidation:
                 fsafe_anchors_mhz=((0.55, 300.0), (0.54, 200.0), (0.57, 350.0))
             )
 
+    @pytest.mark.parametrize("anchors", [(), ((0.57, 333.5),)])
+    def test_fewer_than_two_anchors_rejected(self, anchors):
+        with pytest.raises(ValueError, match="at least two fsafe anchors"):
+            Calibration(fsafe_anchors_mhz=anchors)
+
 
 class TestOverrides:
     def test_with_overrides_returns_new_instance(self):

@@ -1,14 +1,17 @@
 """Timing model tests: Fsafe curves, slack, Fmax grid, ITD."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from repro.fpga.calibration import DEFAULT_CALIBRATION as CAL
 from repro.fpga.timing import (
     AlphaPowerDelayModel,
     CalibratedDelayModel,
     OperatingPoint,
+    _Pchip,
     itd_factor,
 )
 
@@ -73,6 +76,72 @@ class TestCalibratedModel:
     def test_no_grid_frequency_below_crash(self, model):
         # Fsafe deep below Vcrash drops under the lowest grid point.
         assert model.fmax_on_grid_mhz(0.47, CAL.f_grid_mhz) is None
+
+
+def _scipy_fsafe(anchors) -> PchipInterpolator:
+    a = np.asarray(anchors, dtype=float)
+    return PchipInterpolator(a[:, 0], a[:, 1], extrapolate=False)
+
+
+def _increasing(elements, n):
+    return st.lists(elements, min_size=n, max_size=n, unique=True).map(sorted)
+
+
+@st.composite
+def anchor_sets(draw):
+    """Strictly increasing (V, MHz) anchor sets of 2..12 points."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    volts = draw(_increasing(st.floats(min_value=0.3, max_value=1.0), n))
+    mhz = draw(_increasing(st.floats(min_value=10.0, max_value=2000.0), n))
+    return tuple(zip(volts, mhz))
+
+
+class TestPchipOracle:
+    """Inside the anchor range Fsafe(V) equals scipy's PCHIP bit for bit."""
+
+    def test_default_anchors_on_a_micro_volt_grid(self, model):
+        volts = np.concatenate(
+            [np.arange(540_000, 850_001) / 1e6, [v for v, _ in CAL.fsafe_anchors_mhz]]
+        )
+        expected = _scipy_fsafe(CAL.fsafe_anchors_mhz)(volts)
+        got = np.array([model.fsafe_mhz(v) for v in volts.tolist()])
+        mismatched = volts[got != expected]
+        assert mismatched.size == 0, f"{mismatched.size} mismatches, first {mismatched[:5]}"
+
+    @given(anchor_sets(), st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+    # Two points: scipy's linear case.  Three with a steep second segment:
+    # the one-sided end slope turns negative and is zeroed.
+    @example(((0.5, 100.0), (0.6, 200.0)), [0.25])
+    @example(((0.5, 100.0), (0.6, 101.0), (0.7, 500.0)), [0.1, 0.9])
+    @settings(max_examples=200, deadline=None)
+    def test_random_anchor_sets(self, anchors, fractions):
+        model = CalibratedDelayModel(CAL.with_overrides(fsafe_anchors_mhz=anchors))
+        lo, hi = anchors[0][0], anchors[-1][0]
+        volts = [v for v, _ in anchors] + [min(lo + f * (hi - lo), hi) for f in fractions]
+        expected = _scipy_fsafe(anchors)(volts).tolist()
+        assert [model.fsafe_mhz(v) for v in volts] == expected
+
+    @given(
+        st.integers(min_value=2, max_value=12).flatmap(
+            lambda n: st.tuples(
+                _increasing(st.integers(min_value=-100, max_value=100), n),
+                st.lists(st.integers(min_value=-5, max_value=5), min_size=n, max_size=n),
+            )
+        ),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_monotone_data(self, xy, fractions):
+        """The port keeps scipy's shape-preserving branches that monotone
+        anchors never reach: sign changes, flat segments, and the end
+        slope clipped to three times the end secant."""
+        x = np.asarray(xy[0], dtype=float) / 8
+        y = np.asarray(xy[1], dtype=float)
+        lo, hi = x[0], x[-1]
+        volts = x.tolist() + [min(lo + f * (hi - lo), hi) for f in fractions]
+        expected = PchipInterpolator(x, y, extrapolate=False)(volts).tolist()
+        ours = _Pchip(x, y)
+        assert [ours(v) for v in volts] == expected
 
 
 class TestITD:

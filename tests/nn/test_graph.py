@@ -1,12 +1,18 @@
 """Model graph tests: construction rules, topology, execution."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
+from repro.models.builders import build_executable, graph_from_manifest, graph_manifest
+from repro.models.zoo import get_spec, list_benchmarks
 from repro.nn.graph import Graph
 from repro.nn.layers import Add, Conv2D, Dense, Input, ReLU, Softmax
+from repro.nn.prune import PruningSpec, prune_model
+from repro.nn.quantize import QuantizationSpec, quantize_model
 from repro.nn.tensor import QuantizedTensor
+from repro.runtime.blobs import BlobStore
 
 RNG = np.random.default_rng(3)
 
@@ -77,11 +83,31 @@ class TestTopology:
     def test_order_is_deterministic(self):
         assert residual_graph().topological_order() == residual_graph().topological_order()
 
-    def test_networkx_export(self):
-        g = residual_graph()
-        nx_graph = g.to_networkx()
-        assert nx_graph.number_of_nodes() == 5
-        assert nx_graph.has_edge("a", "add")
+    def test_order_matches_networkx_lexicographical_sort(self, tmp_path):
+        """Insertion order is the lexicographical topological sort keyed by
+        insertion index, on every zoo graph and on the graphs derived from
+        them by pruning, quantization and the model-plane round trip."""
+        def oracle(graph: Graph) -> list[str]:
+            dag = nx.DiGraph()
+            dag.add_nodes_from(graph.nodes)
+            for node in graph.nodes.values():
+                dag.add_edges_from((src, node.name) for src in node.inputs)
+            index = {name: i for i, name in enumerate(graph.nodes)}
+            return list(nx.lexicographical_topological_sort(dag, key=index.__getitem__))
+
+        zoo_graphs = {name: build_executable(get_spec(name)) for name in list_benchmarks()}
+        graphs = dict(zoo_graphs)
+        graphs["resnet50-pruned"] = prune_model(zoo_graphs["resnet50"], PruningSpec(0.5))
+        graphs["googlenet-int4"] = quantize_model(
+            zoo_graphs["googlenet"], QuantizationSpec(4, 8)
+        )
+        store = BlobStore(tmp_path)
+        rebuilt = graph_from_manifest(graph_manifest(zoo_graphs["inception"], store), store)
+        assert rebuilt is not None
+        graphs["inception-manifest"] = rebuilt
+        for label, graph in graphs.items():
+            assert graph.topological_order() == oracle(graph), label
+        assert rebuilt.topological_order() == zoo_graphs["inception"].topological_order()
 
 
 class TestShapeInference:

@@ -117,3 +117,31 @@ class TestSurface:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0"
+
+    def test_runtime_needs_neither_scipy_nor_networkx(self, tmp_path):
+        """scipy and networkx are test-only oracles: with both blocked,
+        every public module imports and a smoke campaign still runs."""
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import importlib, sys\n"
+            "sys.modules['scipy'] = sys.modules['networkx'] = None\n"
+            f"for name in {PUBLIC_MODULES!r}:\n"
+            "    importlib.import_module(name)\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(['campaign', 'table1', 'fig3', '--repeats', '1',\n"
+            "               '--samples', '8', '--no-cache']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert out.returncode == 0, out.stderr
