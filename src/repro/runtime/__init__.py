@@ -81,7 +81,7 @@ from repro.runtime.campaign import (
 )
 from repro.runtime.executor import TaskOutcome, run_tasks
 from repro.runtime.fabric import WorkerFabric, active_fabric, fabric_scope, resolve_jobs
-from repro.runtime.hashing import config_fingerprint, point_fingerprint
+from repro.runtime.hashing import config_fingerprint, point_fingerprint, point_fingerprinter
 from repro.runtime.journal import CampaignJournal, campaign_fingerprint
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.points import PointCache, PointEntry, PointStats, point_scope
@@ -130,6 +130,7 @@ __all__ = [
     "open_index",
     "plan_units",
     "point_fingerprint",
+    "point_fingerprinter",
     "point_scope",
     "resolve_campaign",
     "resolve_jobs",

@@ -12,6 +12,17 @@ The fingerprint deliberately does NOT hash source code: the library
 version stands in for it.  After changing experiment or simulator code,
 bump ``repro.version`` (any release does) or run with the cache disabled;
 otherwise a warm cache keeps serving pre-change results.
+
+Per-point fingerprints are computed in bulk — once per stored point when
+an index opens, once per voltage in every sweep round — against one
+fixed ``(config, version)``.  :func:`point_fingerprinter` binds that
+pair once: it encodes the config a single time and keeps a ``sha256``
+already fed with the payload's ``{"config":…,"context":`` prefix, so
+each point only hashes its own context and scope.  The digest is the
+one :func:`point_fingerprint` has always produced: ``sort_keys`` orders
+the payload ``config, context, kind, scope, version``, and a nested
+value encodes to the same text alone as inside its parent under the
+same separators and fallback encoder.
 """
 
 from __future__ import annotations
@@ -69,6 +80,27 @@ def config_fingerprint(
     return digest[:FINGERPRINT_LEN]
 
 
+def point_fingerprinter(config: ExperimentConfig, version: str | None = None):
+    """Bind :func:`point_fingerprint` to one ``(config, version)``.
+
+    Returns ``fingerprint(scope, context) -> str``.  The config is
+    encoded and the version read once, at bind time (see the module
+    docstring), so bind one per batch of points, not one per process.
+    """
+    version = current_version() if version is None else version
+    config_json = canonical_json(config.point_semantic_dict())
+    prefix = hashlib.sha256(f'{{"config":{config_json},"context":'.encode())
+    tail = f',"version":{canonical_json(version)}}}'
+
+    def fingerprint(scope: str, context: dict) -> str:
+        digest = prefix.copy()
+        digest.update(canonical_json(context).encode())
+        digest.update(f',"kind":"sweep-point","scope":{canonical_json(scope)}{tail}'.encode())
+        return digest.hexdigest()[:FINGERPRINT_LEN]
+
+    return fingerprint
+
+
 def point_fingerprint(
     scope: str,
     context: dict,
@@ -82,16 +114,11 @@ def point_fingerprint(
     board, voltage, clock, temperature setpoint), the *point-relevant*
     config (:meth:`ExperimentConfig.point_semantic_dict`, which drops the
     sweep-plan knobs on top of the execution-only ones), and the library
-    version.  Two sweeps that visit the same voltage under the same unit
-    — a dense grid and an adaptive bisection, or a coarse and a refined
-    step — therefore share the entry bit-for-bit.
+    version: the sha256 of the canonical JSON of ``{"kind": "sweep-point",
+    "scope": …, "context": …, "config": …, "version": …}``.  Two sweeps
+    that visit the same voltage under the same unit — a dense grid and an
+    adaptive bisection, or a coarse and a refined step — therefore share
+    the entry bit-for-bit.  Fingerprinting many points under one config?
+    Bind a :func:`point_fingerprinter` once instead.
     """
-    payload = {
-        "kind": "sweep-point",
-        "scope": scope,
-        "context": context,
-        "config": config.point_semantic_dict(),
-        "version": current_version() if version is None else version,
-    }
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-    return digest[:FINGERPRINT_LEN]
+    return point_fingerprinter(config, version)(scope, context)

@@ -50,7 +50,7 @@ import json
 import os
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -58,18 +58,23 @@ from repro.core.experiment import ExperimentConfig
 from repro.core.session import AcceleratorSession, Measurement
 from repro.errors import BoardHangError
 from repro.runtime.cache import atomic_write_text
-from repro.runtime.hashing import current_version, point_fingerprint
+from repro.runtime.hashing import current_version, point_fingerprinter
 
 #: Subdirectory of a result-cache root holding the per-point entries.
 POINTS_SUBDIR = "points"
 
 _ENTRY_KEYS = {"fingerprint", "scope", "context", "version", "hang", "measurement"}
-_MEASUREMENT_KEYS = {f.name for f in Measurement.__dataclass_fields__.values()}
+_MEASUREMENT_FIELDS = tuple(f.name for f in fields(Measurement))
+_MEASUREMENT_KEYS = set(_MEASUREMENT_FIELDS)
 
 
 def measurement_to_payload(measurement: Measurement) -> dict:
-    """Full-precision JSON-able snapshot of one measurement."""
-    return asdict(measurement)
+    """Full-precision JSON-able snapshot of one measurement.
+
+    ``dataclasses.asdict`` without its deep copy (every field is a
+    scalar): this runs once per row a query serves.
+    """
+    return {name: getattr(measurement, name) for name in _MEASUREMENT_FIELDS}
 
 
 def measurement_from_payload(payload: dict) -> Measurement:
@@ -193,10 +198,17 @@ class PointCache:
         return path
 
     def entries(self) -> list[Path]:
-        """All point files currently on disk (sorted for determinism)."""
-        if not self.root.is_dir():
+        """All point files currently on disk (sorted by name for determinism)."""
+        try:
+            with os.scandir(self.root) as listing:
+                names = sorted(
+                    entry.name
+                    for entry in listing
+                    if entry.name.endswith(".json") and entry.is_file()
+                )
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        return sorted(p for p in self.root.glob("*.json") if p.is_file())
+        return [self.root / name for name in names]
 
     def scan(self) -> Iterator[tuple[Path, "PointEntry | None"]]:
         """Walk every point file, yielding ``(path, entry-or-None)``.
@@ -412,11 +424,28 @@ def cached_round_measure(
     if active is not None:
         cache, scope = active.cache, active.scope
 
-    def keys(v_mv: float) -> tuple[str, dict]:
-        context = point_context(session, v_mv, f_mhz)
-        return point_fingerprint(scope, context, config), context
-
     def execute(points) -> dict:
+        # Bound once per round: the config is encoded once, not per point.
+        version = current_version()
+        fingerprint_of = None if cache is None else point_fingerprinter(config, version)
+
+        def keys(v_mv: float) -> tuple[str, dict]:
+            context = point_context(session, v_mv, f_mhz)
+            return fingerprint_of(scope, context), context
+
+        def write_back(v_mv, fingerprint, context, measurement) -> None:
+            if cache is None:
+                return
+            if fingerprint is None:
+                # Probe plan: its outcome (a hang, or a fault-free
+                # measurement) is deterministic, so store it unless the
+                # point is already on disk (probes never read entries, so
+                # an existing one must be left untouched).
+                fingerprint, context = keys(v_mv)
+                if cache.path_for(fingerprint).exists():
+                    return
+            cache.store(fingerprint, scope, context, measurement, version)
+
         outcomes: dict[int, tuple] = {}
         pending: list[tuple] = []  # (point, plan, fingerprint, context)
         for p in points:
@@ -434,20 +463,7 @@ def cached_round_measure(
                 plan = session.plan_point(p.v_mv, f_mhz=f_mhz)
             except BoardHangError:
                 session.board.power_cycle()
-                if cache is not None:
-                    if fingerprint is None:
-                        # Probe plan: store the hang only if the point is
-                        # not already on disk (probes never read entries,
-                        # so an existing one must be left untouched).
-                        fingerprint, context = keys(p.v_mv)
-                        if not cache.path_for(fingerprint).exists():
-                            cache.store(
-                                fingerprint, scope, context, None, current_version()
-                            )
-                    else:
-                        cache.store(
-                            fingerprint, scope, context, None, current_version()
-                        )
+                write_back(p.v_mv, fingerprint, context, None)
                 outcomes[p.index] = ("hang", None)
                 break
             if p.mode == "probe" and not plan.engine_free:
@@ -460,22 +476,7 @@ def cached_round_measure(
             results = session.execute_plans([plan for _p, plan, _f, _c in pending])
             for (p, plan, fingerprint, context), outs in zip(pending, results):
                 measurement = session.finalize_point(plan, outs)
-                if cache is not None:
-                    if fingerprint is None:
-                        # Probe plan whose point came out fault-free: the
-                        # measurement is deterministic, so write it back
-                        # unless the point is already on disk.
-                        fingerprint, context = keys(p.v_mv)
-                        if not cache.path_for(fingerprint).exists():
-                            cache.store(
-                                fingerprint, scope, context, measurement,
-                                current_version(),
-                            )
-                    else:
-                        cache.store(
-                            fingerprint, scope, context, measurement,
-                            current_version(),
-                        )
+                write_back(p.v_mv, fingerprint, context, measurement)
                 outcomes[p.index] = ("measurement", measurement)
         return outcomes
 

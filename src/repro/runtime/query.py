@@ -71,7 +71,7 @@ from repro.core.session import Measurement
 from repro.core.undervolt import SweepResult
 from repro.errors import CampaignError
 from repro.runtime.cache import ResultCache
-from repro.runtime.hashing import current_version, point_fingerprint
+from repro.runtime.hashing import current_version, point_fingerprinter
 from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
 from repro.runtime.points import (
     PointCache,
@@ -317,12 +317,16 @@ class CharacterizationIndex:
         entries sharing a context across scopes deduplicate to the
         lexicographically smallest fingerprint, which is deterministic
         because the scan order is.  The landmark memo is dropped and the
-        LRU is cleared then reseeded from the scan — both are derived
-        state, and a point file rewritten in place must never be served
-        from a stale parse.
+        LRU is cleared then reseeded, in scan order, with the payloads
+        of the points that won deduplication — both are derived state,
+        and a point file rewritten in place must never be served from a
+        stale parse.
         """
         datasets: dict[DatasetKey, dict[float, PointRef]] = {}
         seeds: list[tuple[str, Measurement]] = []
+        # One bound fingerprinter per scan: the config is encoded once,
+        # not once per point.
+        fingerprint_of = point_fingerprinter(self.config)
         corrupt = 0
         excluded = 0
         # PointCache.scan serves unchanged files from its mtime/size
@@ -334,7 +338,7 @@ class CharacterizationIndex:
                 corrupt += 1
                 continue
             context = entry.context
-            expected = point_fingerprint(entry.scope, context, self.config)
+            expected = fingerprint_of(entry.scope, context)
             if expected != entry.fingerprint:
                 excluded += 1
                 continue
@@ -376,9 +380,13 @@ class CharacterizationIndex:
             )
             for key, refs in datasets.items()
         }
+        indexed = {ref.fingerprint for refs in datasets.values() for ref in refs.values()}
         self._lru.clear()
         for entry_fingerprint, measurement in seeds:
-            self._lru.put(entry_fingerprint, measurement)
+            # A context that lost deduplication is never looked up again;
+            # seeding it would only evict a served point.
+            if entry_fingerprint in indexed:
+                self._lru.put(entry_fingerprint, measurement)
         with self._lock:
             self._datasets = built
             self._landmark_memo = {}

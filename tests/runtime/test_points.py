@@ -1,7 +1,9 @@
 """Per-point cache tests: key semantics, invalidation, resume, corruption."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,24 @@ class TestMeasurementCodec:
         with pytest.raises(ValueError):
             measurement_from_payload(payload)
 
+    def test_payload_is_exactly_asdict(self, session):
+        live = session.run_at(570.0)
+        numpy_fields = dataclasses.replace(
+            live,
+            **{
+                f.name: np.float64(getattr(live, f.name))
+                for f in dataclasses.fields(live)
+                if f.type in (float, "float")
+            },
+        )
+        assert isinstance(numpy_fields.accuracy, np.float64)
+        for measurement in (live, numpy_fields):
+            payload = measurement_to_payload(measurement)
+            reference = dataclasses.asdict(measurement)
+            assert list(payload) == list(reference)
+            assert payload == reference
+            assert json.dumps(payload) == json.dumps(reference)
+
 
 class TestCachedSweeps:
     def test_warm_sweep_replays_every_point(self, workload, tmp_path):
@@ -103,9 +123,7 @@ class TestCachedSweeps:
         assert warm_cache.stats.stores == 0
         assert warm_cache.stats.hits == len(cold.points) + 1
         assert warm.crash_mv == cold.crash_mv
-        assert [p.measurement for p in warm.points] == [
-            p.measurement for p in cold.points
-        ]
+        assert [p.measurement for p in warm.points] == [p.measurement for p in cold.points]
 
     def test_finer_step_pays_only_for_new_points(self, workload, tmp_path):
         cache = PointCache(tmp_path / "points")
@@ -144,9 +162,7 @@ class TestCachedSweeps:
         before = cache.stats.stores
         warm = sweep(fresh_session(workload, loop_config), loop_config, cache)
         assert cache.stats.stores == before
-        assert [p.measurement for p in warm.points] == [
-            p.measurement for p in cold.points
-        ]
+        assert [p.measurement for p in warm.points] == [p.measurement for p in cold.points]
 
     def test_hang_is_cached_and_replayed(self, workload, tmp_path):
         cache = PointCache(tmp_path / "points")
@@ -199,9 +215,39 @@ class TestCachedSweeps:
         resumed = sweep(fresh_session(workload), CFG, cache)
         assert cache.stats.stores == partial + len(resumed.points) + 1 - 3
         reference = sweep(fresh_session(workload), CFG, PointCache(tmp_path / "ref"))
-        assert [p.measurement for p in resumed.points] == [
-            p.measurement for p in reference.points
-        ]
+        assert [p.measurement for p in resumed.points] == [p.measurement for p in reference.points]
+
+
+class TestRoundFingerprinting:
+    def test_config_encoded_once_per_round(self, workload, tmp_path, monkeypatch):
+        """A round binds one fingerprinter; its points never re-encode the config."""
+        calls = []
+        encode = ExperimentConfig.point_semantic_dict
+
+        def counted(self):
+            calls.append(1)
+            return encode(self)
+
+        monkeypatch.setattr(ExperimentConfig, "point_semantic_dict", counted)
+        config = CFG.with_overrides(point_batch=8)
+        result = sweep(fresh_session(workload, config), config, PointCache(tmp_path / "points"))
+        assert result.points_executed > 2 * result.rounds_executed
+        assert len(calls) == result.rounds_executed
+
+
+class TestEntries:
+    def test_listing_matches_the_glob_formula(self, tmp_path):
+        root = tmp_path / "points"
+        root.mkdir()
+        for name in "b.json a.json A.json .x.json notes.txt .gitignore c.json.tmp".split():
+            (root / name).write_text("{}")
+        (root / "d.json").mkdir()
+        listed = PointCache(root).entries()
+        assert listed == sorted(p for p in root.glob("*.json") if p.is_file())
+        assert [p.name for p in listed] == [".x.json", "A.json", "a.json", "b.json"]
+
+    def test_missing_root_lists_nothing(self, tmp_path):
+        assert PointCache(tmp_path / "absent").entries() == []
 
 
 class TestCorruption:

@@ -21,6 +21,7 @@ from repro.query import (
 )
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import run_sweep_campaign
+from repro.runtime.hashing import point_fingerprint
 from repro.runtime.points import PointCache, read_point_entry
 
 CONFIG = ExperimentConfig(repeats=1, samples=8)
@@ -71,6 +72,20 @@ class TestIndexBuild:
             assert rebuilt.stats()["points"]["alive"] == index.stats()["points"]["alive"]
         finally:
             bad.unlink()
+
+    def test_open_encodes_the_config_once(self, warm_cache, monkeypatch):
+        """The scan binds one fingerprinter, not one config encoding per point."""
+        calls = []
+        encode = ExperimentConfig.point_semantic_dict
+
+        def counted(self):
+            calls.append(1)
+            return encode(self)
+
+        monkeypatch.setattr(ExperimentConfig, "point_semantic_dict", counted)
+        idx = open_index(warm_cache, config=CONFIG)
+        assert idx.stats()["points"]["indexed"] >= 50
+        assert len(calls) == 1
 
     def test_dataset_keys_sorted_and_filtered(self, index):
         keys = index.dataset_keys(benchmark="vggnet")
@@ -167,12 +182,8 @@ class TestLandmarks:
     def test_guardband_map_reshapes_landmarks(self, index):
         (entry,) = index.guardband("vggnet")
         assert [b["board"] for b in entry["boards"]] == sorted(BOARDS)
-        assert entry["worst_case_vmin_mv"] == max(
-            b["vmin_mv"] for b in entry["boards"]
-        )
-        assert entry["fleet_guardband_mv"] == min(
-            b["guardband_mv"] for b in entry["boards"]
-        )
+        assert entry["worst_case_vmin_mv"] == max(b["vmin_mv"] for b in entry["boards"])
+        assert entry["fleet_guardband_mv"] == min(b["guardband_mv"] for b in entry["boards"])
         assert entry["incomplete_boards"] == []
 
     def test_incomplete_dataset_reports_reason(self, tmp_path):
@@ -200,6 +211,20 @@ class TestLRU:
         assert stats["evictions"] > 0
         assert stats["misses"] > 0
 
+    def test_lru_seeds_only_points_that_won_deduplication(self, tmp_path):
+        """One context under two scopes: the losing copy never enters the LRU."""
+        run_sweep_campaign("vggnet", [0], CONFIG, cache=ResultCache(tmp_path))
+        store = PointCache(tmp_path / "points")
+        for path in store.entries():
+            payload = json.loads(path.read_text())
+            payload["scope"] = "fig3"
+            payload["fingerprint"] = point_fingerprint("fig3", payload["context"], CONFIG)
+            store.path_for(payload["fingerprint"]).write_text(json.dumps(payload))
+        idx = open_index(tmp_path, config=CONFIG)
+        points = idx.stats()["points"]
+        assert points["indexed"] * 2 == len(store.entries())
+        assert idx.stats()["lru"]["size"] == points["alive"]
+
     def test_warm_lru_hits_skip_disk(self, warm_cache):
         idx = open_index(warm_cache, config=CONFIG)
         idx.point("vggnet", 850.0, board=0)
@@ -211,9 +236,7 @@ class TestLRU:
 
 
 class TestReadThrough:
-    def test_miss_schedules_one_sweep_then_serves_from_cache(
-        self, tmp_path, monkeypatch
-    ):
+    def test_miss_schedules_one_sweep_then_serves_from_cache(self, tmp_path, monkeypatch):
         runs = []
         real = campaign_mod.run_sweep_unit
 
@@ -311,9 +334,7 @@ class TestCoalescing:
         value, led = coalescer.run("key", lambda: 7)
         assert (value, led) == (7, True)
 
-    def test_concurrent_misses_compute_each_point_exactly_once(
-        self, tmp_path, monkeypatch
-    ):
+    def test_concurrent_misses_compute_each_point_exactly_once(self, tmp_path, monkeypatch):
         """N concurrent queries for one missing sweep -> one sweep run."""
         idx = CharacterizationIndex(tmp_path, config=CONFIG)
         n_threads = 6
@@ -325,10 +346,7 @@ class TestCoalescing:
             # Hold the leader until every other request has coalesced
             # behind it, so the single-flight assertion is deterministic.
             deadline = time.monotonic() + 5.0
-            while (
-                idx._coalescer.coalesced_waits < n_threads - 1
-                and time.monotonic() < deadline
-            ):
+            while idx._coalescer.coalesced_waits < n_threads - 1 and time.monotonic() < deadline:
                 time.sleep(0.005)
             return real(*args, **kwargs)
 
@@ -378,9 +396,7 @@ class TestStats:
 
         cache = ResultCache(tmp_path)
         journal = CampaignJournal(tmp_path / JOURNAL_NAME)
-        campaign_mod.run_campaign(
-            ["table1"], CONFIG, cache=cache, journal=journal
-        )
+        campaign_mod.run_campaign(["table1"], CONFIG, cache=cache, journal=journal)
         idx = open_index(tmp_path, config=CONFIG)
         summary = idx.stats()["journal"]
         assert summary["campaigns"] == 1
