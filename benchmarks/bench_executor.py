@@ -229,11 +229,11 @@ def test_dispatch_overhead_warm_fabric(benchmark, config):
     """
     n_tasks = 256
     with WorkerFabric(JOBS) as fabric:
-        run_tasks([(int, ("7",)) for _ in range(8)], jobs=JOBS)  # spawn + warm
+        run_tasks([(int, ("7",)) for _ in range(8)], fabric=fabric)  # spawn + warm
 
         def dispatch_round():
             started = time.perf_counter()
-            outcomes = run_tasks([(int, ("7",)) for _ in range(n_tasks)], jobs=JOBS)
+            outcomes = run_tasks([(int, ("7",)) for _ in range(n_tasks)], fabric=fabric)
             elapsed = time.perf_counter() - started
             assert [o.value for o in outcomes] == [7] * n_tasks
             return elapsed

@@ -71,22 +71,32 @@ def test_measurement_point(benchmark, workload, config):
 #: Critical-region onset: the paper's Vmin boundary, where the 10-repeat
 #: averaging decides "no accuracy loss" (accuracy_min gating Fmax/Vmin
 #: searches).  This is the repeats=10 measurement path the CI bench gate
-#: holds to a >=3x batched-over-loop speedup.
+#: holds to a >=3x speedup of the batched repeats over the per-repeat loop.
 VMIN_EDGE_MV = 564.0
 
 
-def _repeats10_session(workload, repeat_mode):
-    config = ExperimentConfig(repeats=10, samples=64, repeat_mode=repeat_mode)
+def _repeats10_session(workload):
+    config = ExperimentConfig(repeats=10, samples=64)
     session = AcceleratorSession(make_board(sample=1), workload, config)
     session.run_at(VMIN_EDGE_MV)  # warm caches (incl. the clean-pass memo)
     return session
 
 
+def _loop_oracle(session, v_mv):
+    """One engine pass per repeat: the reference the batched path matches."""
+    plan = session.plan_point(v_mv)
+    outcomes = [
+        session.engine.run(plan.p_op, plan.f_mhz, rng=r, control_collapse=plan.collapse)
+        for r in session._plan_rngs(plan)
+    ]
+    return session.finalize_point(plan, outcomes)
+
+
 @pytest.mark.benchmark(group="repeat-mode")
 def test_measurement_repeats10_loop(benchmark, workload):
-    """Paper-methodology point (repeats=10), historical per-repeat loop."""
-    session = _repeats10_session(workload, "loop")
-    measurement = benchmark(lambda: session.run_at(VMIN_EDGE_MV))
+    """Paper-methodology point (repeats=10), per-repeat loop oracle."""
+    session = _repeats10_session(workload)
+    measurement = benchmark(lambda: _loop_oracle(session, VMIN_EDGE_MV))
     assert measurement.repeats == 10
     assert measurement.faults_per_run > 0
 
@@ -94,10 +104,10 @@ def test_measurement_repeats10_loop(benchmark, workload):
 @pytest.mark.benchmark(group="repeat-mode")
 def test_measurement_repeats10_batched(benchmark, workload):
     """Same point, copy-on-divergence batched repeats (must match loop)."""
-    session = _repeats10_session(workload, "batched")
+    session = _repeats10_session(workload)
     measurement = benchmark(lambda: session.run_at(VMIN_EDGE_MV))
     assert measurement.repeats == 10
-    assert measurement == _repeats10_session(workload, "loop").run_at(VMIN_EDGE_MV)
+    assert measurement == _loop_oracle(_repeats10_session(workload), VMIN_EDGE_MV)
 
 
 @pytest.mark.benchmark(group="micro")

@@ -1,4 +1,7 @@
-"""Efficiency metrics (GOPs/W, GOPs/J) and normalization helpers."""
+"""Efficiency metrics and normalization helpers.
+
+GOPs/J lives on :attr:`repro.core.session.Measurement.gops_per_joule`.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +13,6 @@ def gops_per_watt(gops: float, power_w: float) -> float:
     if power_w <= 0:
         raise ValueError(f"power must be positive, got {power_w}")
     return gops / power_w
-
-
-def gops_per_joule_proxy(gops: float, power_w: float) -> float:
-    """Energy-efficiency ordering metric for a fixed work quantum.
-
-    For W operations, energy = P * (W / GOPS); ops/J therefore orders as
-    GOPS^2 / P, which is what Table 2's normalized GOPs/J column compares.
-    """
-    if power_w <= 0:
-        raise ValueError(f"power must be positive, got {power_w}")
-    return gops * gops / power_w
 
 
 def normalize(values: Sequence[float], baseline: float) -> list[float]:

@@ -22,8 +22,7 @@ Every campaign-shaped command accepts ``--jobs`` (process fan-out),
 experiments plus individual sweep voltage points), and the full set of
 :class:`~repro.core.experiment.ExperimentConfig` knobs (``--v-step``,
 ``--strategy``, ``--v-resolution``, ``--width-scale``,
-``--accuracy-tolerance``, ``--repeat-mode``, ``--batch-budget``,
-``--point-batch``).
+``--accuracy-tolerance``, ``--batch-budget``, ``--point-batch``).
 ``campaign`` additionally journals its plan under the cache dir and
 accepts ``--resume`` to pick an interrupted campaign back up, skipping
 every unit (and every already-measured voltage point) that completed.
@@ -58,7 +57,6 @@ def _config_from_args(args):
         v_resolution=args.v_resolution,
         width_scale=args.width_scale,
         accuracy_tolerance=args.accuracy_tolerance,
-        repeat_mode=args.repeat_mode,
         batch_budget=args.batch_budget,
         point_batch=args.point_batch,
     )
@@ -162,13 +160,6 @@ def _add_config_flags(parser, *, repeats: int, samples: int) -> None:
         default=defaults.accuracy_tolerance,
         help="absolute accuracy-loss tolerance defining 'no loss' "
              f"(default {defaults.accuracy_tolerance})",
-    )
-    parser.add_argument(
-        "--repeat-mode", dest="repeat_mode",
-        choices=["batched", "loop"], default=defaults.repeat_mode,
-        help="fault-realization execution: 'batched' stacks all repeats "
-             "into one vectorized forward pass, 'loop' re-runs per repeat; "
-             f"results are bit-identical (default {defaults.repeat_mode})",
     )
     parser.add_argument(
         "--batch-budget", dest="batch_budget", type=int,

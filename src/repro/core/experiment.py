@@ -16,9 +16,6 @@ from repro.fpga.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.rng import SeedBank
 
 
-#: Valid values of :attr:`ExperimentConfig.repeat_mode`.
-REPEAT_MODES = ("batched", "loop")
-
 #: Valid values of :attr:`ExperimentConfig.strategy` (see
 #: :mod:`repro.core.undervolt`): ``grid`` walks every voltage point of the
 #: sweep range, ``adaptive`` coarse-steps and bisects toward the region
@@ -26,10 +23,10 @@ REPEAT_MODES = ("batched", "loop")
 SWEEP_STRATEGIES = ("grid", "adaptive")
 
 #: Config fields that select *how* measurements are computed, never *what*
-#: they are: both repeat modes produce bit-identical Measurements, so these
-#: knobs are excluded from the result-cache fingerprint (see
-#: :func:`repro.runtime.hashing.config_fingerprint`).
-EXECUTION_FIELDS = ("repeat_mode", "batch_budget", "point_batch")
+#: they are: batch chunking and round shape produce bit-identical
+#: Measurements, so these knobs are excluded from the result-cache
+#: fingerprint (see :func:`repro.runtime.hashing.config_fingerprint`).
+EXECUTION_FIELDS = ("batch_budget", "point_batch")
 
 #: Config fields that steer *which* voltage points a sweep visits — the
 #: grid pitch, the search strategy, and the loss tolerance the adaptive
@@ -65,10 +62,6 @@ class ExperimentConfig:
     #: landmarks on the same implicit voltage grid.
     v_resolution: float | None = None
     cal: Calibration = DEFAULT_CALIBRATION
-    #: How repeats execute: "batched" stacks all R fault realizations into
-    #: one forward pass; "loop" re-runs the pass per repeat (the historical
-    #: path).  Results are bit-identical either way.
-    repeat_mode: str = "batched"
     #: Stacked-batch memory budget: max inferences per forward pass.  When
     #: ``repeats * samples`` exceeds it, batched runs chunk along the
     #: repeat axis (chunking never changes results, only peak memory).
@@ -98,10 +91,6 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.accuracy_tolerance < 1.0:
             raise CampaignError("accuracy_tolerance must be in [0, 1)")
-        if self.repeat_mode not in REPEAT_MODES:
-            raise CampaignError(
-                f"repeat_mode must be one of {REPEAT_MODES}, got {self.repeat_mode!r}"
-            )
         if self.batch_budget < 1:
             raise CampaignError(
                 f"batch_budget must be >= 1, got {self.batch_budget}"
@@ -129,8 +118,8 @@ class ExperimentConfig:
         cache hashes: any change to any semantic knob — including a
         calibration override — changes the dict and therefore the cache
         key.  Execution-only knobs (:data:`EXECUTION_FIELDS`) are dropped,
-        because batched and loop repeat modes produce bit-identical
-        results — switching modes must keep warm caches valid.
+        because batch chunking and round shape never change a result —
+        flipping them must keep warm caches valid.
         """
         payload = asdict(self)
         for name in EXECUTION_FIELDS:

@@ -5,22 +5,23 @@ VCCINT over PMBus, run the benchmark on the DPU, read accuracy from the
 classifier output and power/temperature back over PMBus, repeat N times
 with independent fault realizations, and average.
 
-The repeats execute either as the historical per-repeat loop or — the
-default — batched through the copy-on-divergence executor
-(``ExperimentConfig.repeat_mode``); both consume the same per-repeat RNG
-streams and produce bit-identical Measurements.
+The repeats execute batched through the copy-on-divergence executor
+(:meth:`~repro.dpu.engine.DPUEngine.run_points`).  Each realization
+draws from its own named RNG stream, so the result is bit-identical to
+re-running the engine once per repeat — the oracle the tests compare
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dpu.config import Deployment
 from repro.dpu.engine import DPUEngine
-from repro.errors import BoardHangError, CampaignError
-from repro.core.experiment import ExperimentConfig, REPEAT_MODES
+from repro.errors import BoardHangError
+from repro.core.experiment import ExperimentConfig
 from repro.faults.model import FaultRateModel
 from repro.fpga.board import ZCU102Board
 from repro.fpga.variation import workload_vcrash_offset_v, workload_vmin_jitter_v
@@ -31,9 +32,9 @@ from repro.rng import SeedBank
 def reduce_repeats(accuracies: list[float], faults: list[int]) -> dict:
     """Vectorized per-point reduction over fault realizations.
 
-    One code path serves both repeat modes, so ``repeat_mode="batched"``
-    and ``"loop"`` cannot drift apart: whatever produced the per-repeat
-    lists, the mean/std/min reduction is this exact float64 computation.
+    Whatever produced the per-repeat lists — the batched executor or a
+    per-repeat loop — the mean/std/min reduction is this exact float64
+    computation.
     ``accuracy_std`` is the population standard deviation (the paper
     averages a fixed set of 10 runs, not a sample of a larger one).
     """
@@ -125,8 +126,6 @@ class PointPlan:
     collapse: bool
     #: Effective realization count (1 for fault-free points).
     repeats: int
-    #: Repeat execution mode for this point ("batched" | "loop").
-    mode: str
     power_w: float
     bram_power_w: float
 
@@ -175,22 +174,16 @@ class AcceleratorSession:
         vccint_mv: float,
         f_mhz: float | None = None,
         repeats: int | None = None,
-        repeat_mode: str | None = None,
     ) -> Measurement:
         """Measure one operating point, averaged over fault realizations.
 
-        ``repeat_mode`` overrides the config's: ``"batched"`` stacks all
-        fault realizations into one forward pass (chunked to the config's
-        ``batch_budget``), ``"loop"`` re-runs the pass per repeat.  Both
-        modes consume identical per-repeat RNG streams and produce
-        bit-identical Measurements.
+        All fault realizations stack into one forward pass, chunked to
+        the config's ``batch_budget``.
 
         Raises :class:`BoardHangError` if the point is below this board's
         crash voltage (after latching the hang, as the real board would).
         """
-        plan = self.plan_point(
-            vccint_mv, f_mhz=f_mhz, repeats=repeats, repeat_mode=repeat_mode
-        )
+        plan = self.plan_point(vccint_mv, f_mhz=f_mhz, repeats=repeats)
         outcomes = self.execute_plans([plan])[0]
         return self.finalize_point(plan, outcomes)
 
@@ -199,7 +192,6 @@ class AcceleratorSession:
         vccint_mv: float,
         f_mhz: float | None = None,
         repeats: int | None = None,
-        repeat_mode: str | None = None,
     ) -> PointPlan:
         """Program the board for one point and freeze its execution plan.
 
@@ -213,11 +205,6 @@ class AcceleratorSession:
         v = vccint_mv / 1000.0
         f_mhz = self.board.cal.f_default_mhz if f_mhz is None else f_mhz
         repeats = self.config.repeats if repeats is None else repeats
-        mode = self.config.repeat_mode if repeat_mode is None else repeat_mode
-        if mode not in REPEAT_MODES:
-            raise CampaignError(
-                f"repeat_mode must be one of {REPEAT_MODES}, got {mode!r}"
-            )
 
         self.board.set_vccint(v)
         self.board.set_clock_mhz(f_mhz)
@@ -243,10 +230,8 @@ class AcceleratorSession:
             temperature_c=t_c,
             p_op=p_op,
             collapse=collapse,
-            # Fault-free points are deterministic: one realization suffices,
-            # and both modes take the same single-run shortcut.
+            # Fault-free points are deterministic: one realization suffices.
             repeats=repeats if (p_op > 0.0 or collapse) else 1,
-            mode=mode,
             power_w=telemetry.vccint_power_w,
             bram_power_w=telemetry.vccbram_power_w,
         )
@@ -268,37 +253,18 @@ class AcceleratorSession:
     def execute_plans(self, plans: list[PointPlan]) -> list:
         """Run the engine work of several planned points, batched.
 
-        All ``"batched"``-mode plans execute as one
+        All plans execute as one
         :meth:`~repro.dpu.engine.DPUEngine.run_points` call — their fault
         realizations stack along the batch axis, chunked to the config's
-        ``batch_budget`` — while ``"loop"``-mode plans keep the historical
-        one-engine-run-per-repeat path.  Returns one outcome list per
-        plan, aligned with the input; every outcome is bit-identical to a
-        solo :meth:`run_at` at the same point.
+        ``batch_budget``.  Returns one outcome list per plan, aligned with
+        the input; every outcome is bit-identical to a solo
+        :meth:`run_at` at the same point.
         """
-        results: list = [None] * len(plans)
-        stacked: list[tuple[int, PointPlan]] = []
-        for i, plan in enumerate(plans):
-            if plan.mode == "loop":
-                results[i] = [
-                    self.engine.run(
-                        plan.p_op, plan.f_mhz, rng=rng, control_collapse=plan.collapse
-                    )
-                    for rng in self._plan_rngs(plan)
-                ]
-            else:
-                stacked.append((i, plan))
-        if stacked:
-            specs = [
-                (plan.p_op, plan.f_mhz, self._plan_rngs(plan), plan.collapse)
-                for _i, plan in stacked
-            ]
-            outcomes = self.engine.run_points(
-                specs, max_stacked=self.config.batch_budget
-            )
-            for (i, _plan), outs in zip(stacked, outcomes):
-                results[i] = outs
-        return results
+        specs = [
+            (plan.p_op, plan.f_mhz, self._plan_rngs(plan), plan.collapse)
+            for plan in plans
+        ]
+        return self.engine.run_points(specs, max_stacked=self.config.batch_budget)
 
     def finalize_point(self, plan: PointPlan, outcomes: list) -> Measurement:
         """Reduce one plan's realization outcomes into its Measurement."""

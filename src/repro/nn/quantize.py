@@ -72,18 +72,3 @@ def quantize_model(graph: Graph, spec: QuantizationSpec) -> Graph:
     out.name = f"{graph.name}-{spec.label.lower()}"
     return out
 
-
-def quantization_rms_error(graph: Graph, quantized: Graph) -> float:
-    """RMS weight perturbation introduced by quantization (diagnostics)."""
-    import numpy as np
-
-    num, den = 0.0, 0
-    originals = graph.nodes
-    for name, node in quantized.nodes.items():
-        layer = node.layer
-        if isinstance(layer, (Conv2D, Dense)):
-            ref = originals[name].layer
-            diff = layer.weights - ref.weights
-            num += float(np.sum(diff**2))
-            den += diff.size
-    return float(np.sqrt(num / den)) if den else 0.0

@@ -187,7 +187,6 @@ class _PendingUnit:
 def _execute_cached(
     requests: Sequence[_Request],
     config: ExperimentConfig,
-    jobs: int,
     cache: ResultCache | None,
     journal: CampaignJournal | None = None,
     campaign_id: str | None = None,
@@ -284,7 +283,7 @@ def _execute_cached(
         # still overlap, each feeding the shared fabric.
         run_tasks_threaded(flat, threads, on_complete=on_complete)
     else:
-        run_tasks(flat, jobs=jobs, on_complete=on_complete, fabric=fabric)
+        run_tasks(flat, on_complete=on_complete, fabric=fabric)
 
     for unit in pending:
         if unit.entry is None:  # pragma: no cover - executor guarantees completion
@@ -301,8 +300,8 @@ def _leased_fabric(
     Returns ``(fabric, owned)`` — ``owned`` is a fabric this call created
     (and must close when it finishes); an explicitly passed or
     scope-leased fabric is used as-is so one pool serves every round of
-    an enclosing lease.  With ``jobs <= 1`` everything stays serial and
-    no fabric is involved.
+    an enclosing lease.  With ``jobs <= 1`` and no lease everything stays
+    serial and no fabric is involved.
     """
     if fabric is not None:
         return fabric, None
@@ -384,7 +383,6 @@ def run_campaign(
         entries = _execute_cached(
             [request_for(e) for e in ids],
             config,
-            jobs,
             cache,
             journal=journal,
             campaign_id=campaign_id,
@@ -536,7 +534,6 @@ def run_sweep_unit_remote(
     point_root: str | None,
     blob_root: str | None,
     fabric: WorkerFabric | None,
-    jobs: int = 1,
 ) -> ExperimentResult:
     """One sweep driven in-process, with every *round* dispatched remotely.
 
@@ -568,7 +565,7 @@ def run_sweep_unit_remote(
             unit_id,
             blob_root,
         )
-        outcomes = run_tasks([(measure_round_task, task_args)], jobs=jobs, fabric=fabric)
+        outcomes = run_tasks([(measure_round_task, task_args)], fabric=fabric)
         return {index: (kind, m) for index, kind, m in outcomes[0].value}
 
     sweep = VoltageSweep(session, config).run(measure_round=measure_round)
@@ -619,7 +616,7 @@ def run_sweep_campaign(
             # The unit runs in-process on a parent thread (its probes
             # dispatch); the outer pass must never pickle the fabric
             # handle in the task args, so it uses threads, not a pool.
-            remote_args = (benchmark, board, config, point_root, blob_root, fabric, jobs)
+            remote_args = (benchmark, board, config, point_root, blob_root, fabric)
             return (
                 sweep_unit_id(benchmark, board),
                 lambda: [(run_sweep_unit_remote, remote_args)],
@@ -640,7 +637,6 @@ def run_sweep_campaign(
         entries = _execute_cached(
             [request_for(b) for b in boards],
             config,
-            jobs if dispatch == "unit" else 1,
             cache,
             journal=journal,
             campaign_id=campaign_id,
@@ -834,7 +830,6 @@ def run_fleet_campaign(
         entries = _execute_cached(
             requests,
             config,
-            jobs,
             cache,
             journal=journal,
             campaign_id=campaign_id,

@@ -6,14 +6,13 @@ outcomes *in input order*, regardless of completion order.  That ordering
 guarantee is what lets the shard mergers upstream reproduce serial
 floating-point behaviour exactly.
 
-Every pool is a :class:`~repro.runtime.fabric.WorkerFabric`'s.  With a
-leased fabric — passed explicitly or adopted from the active lease
-(:func:`~repro.runtime.fabric.active_fabric`) when ``jobs > 1`` — every
-round runs on the *same persistent pool*, so worker warm state (memoized
-models, clean passes, the model plane) survives across rounds and
-per-round spawn cost disappears.  A ``jobs > 1`` call with several tasks
-and no lease runs on a transient fabric sized ``min(jobs, len(tasks))``,
-closed when the call returns; the campaign layer always leases one.
+There are two ways to run a round: on the
+:class:`~repro.runtime.fabric.WorkerFabric` passed in, or serially
+in-process.  ``run_tasks`` never adopts a lease itself — the campaign
+layer resolves which fabric (if any) a campaign runs on and passes it
+down.  On a fabric every round runs on the *same persistent pool*, so
+worker warm state (memoized models, clean passes, the model plane)
+survives across rounds and per-round spawn cost disappears.
 
 Large rounds are submitted in *chunks* — contiguous runs of tasks shipped
 as one pool item — to amortize per-task dispatch (pickle + queue + wakeup)
@@ -33,12 +32,11 @@ respawns a fresh one on the next round.  Callbacks should still tolerate
 a duplicate index defensively — tasks are pure functions of their
 arguments, so a replayed outcome is bit-identical.
 
-With ``jobs <= 1`` (or a single task) and no fabric, everything runs
-in-process; seeded results are therefore bit-identical to the historical
-serial loop.  If the platform refuses to give us a process pool
-(sandboxes, missing semaphores) the executor falls back to the serial
-path and records the degradation in each outcome's ``worker`` field
-rather than failing the campaign.  Genuine task exceptions still
+Without a fabric everything runs in-process; seeded results are
+bit-identical either way.  If the platform refuses to give a fabric a
+process pool (sandboxes, missing semaphores) the executor falls back to
+the serial path and records the degradation in each outcome's ``worker``
+field rather than failing the campaign.  Genuine task exceptions still
 propagate.
 """
 
@@ -51,7 +49,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.runtime.fabric import WorkerFabric, active_fabric, resolve_jobs
+from repro.runtime.fabric import WorkerFabric
 
 Task = tuple[Callable[..., Any], tuple]
 
@@ -225,36 +223,21 @@ def run_tasks_threaded(
 
 def run_tasks(
     tasks: Sequence[Task],
-    jobs: int | str = 1,
+    *,
     on_complete: CompletionHook | None = None,
     fabric: WorkerFabric | None = None,
     chunksize: int | None = None,
 ) -> list[TaskOutcome]:
     """Run every task, returning outcomes in input order.
 
-    ``fabric`` selects the leased-pool path explicitly (any task count —
-    even a single dispatched probe reaches the warm workers); with
-    ``jobs > 1`` and no explicit fabric, the active lease is adopted, or
-    a transient fabric runs the call when there is no lease.
-    ``jobs`` accepts everything :func:`~repro.runtime.fabric.resolve_jobs`
-    does (including ``"auto"``, e.g. from an
-    :class:`~repro.runtime.plan.ExecutionPlan` shipped to this host).
-    ``chunksize`` overrides :func:`auto_chunksize` on pool paths.
+    With a ``fabric`` the tasks run on its leased pool (any task count —
+    even a single dispatched probe reaches the warm workers); without
+    one they run serially in-process, even inside an active lease.
+    ``chunksize`` overrides :func:`auto_chunksize` on the pool path.
     """
     tasks = list(tasks)
-    jobs = resolve_jobs(jobs)
     if not tasks:
         return []
-    if fabric is None and jobs > 1:
-        fabric = active_fabric()
-    if fabric is not None:
-        return _run_on_fabric(tasks, fabric, on_complete, chunksize)
-    if jobs == 1 or len(tasks) <= 1:
+    if fabric is None:
         return _run_serial(tasks, "serial", on_complete)
-    # Never entered, so it is never the active lease: tasks replayed
-    # in-process after a pool failure must not adopt a pool being closed.
-    transient = WorkerFabric(min(jobs, len(tasks)))
-    try:
-        return _run_on_fabric(tasks, transient, on_complete, chunksize)
-    finally:
-        transient.close()
+    return _run_on_fabric(tasks, fabric, on_complete, chunksize)

@@ -10,8 +10,8 @@ died with its warm state (memoized workloads, captured clean passes)
 before the next round could reuse it.
 
 :class:`WorkerFabric` inverts that: **one pool, leased for the lifetime
-of a campaign or sweep**, shared by every ``run_tasks`` round issued
-under its scope.  Worker processes persist across rounds, so their
+of a campaign or sweep**, shared by every ``run_tasks`` round the
+campaign dispatches.  Worker processes persist across rounds, so their
 per-process caches stay warm:
 
 * workload construction is memoized per process
@@ -38,9 +38,13 @@ Use it as a context manager::
         run_sweep_campaign("vggnet", boards, config, plan, cache=cache)
 
 Entering the context also *activates* the fabric
-(:func:`active_fabric`), so nested ``run_tasks(jobs > 1)`` calls adopt
-the leased pool without explicit plumbing — the CLI leases exactly one
-fabric per invocation this way.
+(:func:`active_fabric`), so nested campaign calls (``run_campaign``,
+``run_sweep_campaign``, ``run_fleet_campaign``) adopt the leased pool
+without explicit plumbing — the CLI leases exactly one fabric per
+invocation this way.  Adoption happens only there: the campaign layer
+passes the resolved fabric down, and
+:func:`~repro.runtime.executor.run_tasks` runs on exactly the fabric it
+is given, or serially.
 """
 
 from __future__ import annotations

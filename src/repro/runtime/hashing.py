@@ -66,8 +66,8 @@ def config_fingerprint(
     """Stable hex fingerprint of ``(experiment_id, config, version)``.
 
     Only the config's *semantic* fields are hashed
-    (:meth:`ExperimentConfig.semantic_dict`): execution-mode knobs like
-    ``repeat_mode``/``batch_budget`` change how a result is computed but
+    (:meth:`ExperimentConfig.semantic_dict`): execution knobs like
+    ``batch_budget``/``point_batch`` change how a result is computed but
     not its value, so flipping them keeps warm caches valid — and
     fingerprints from before those knobs existed stay unchanged.
     """

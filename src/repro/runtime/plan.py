@@ -143,8 +143,12 @@ def config_from_wire(payload: dict) -> ExperimentConfig:
     calibration tuples come back as lists and are re-tupled so the
     reconstructed config is *equal* to the original — and therefore
     fingerprints identically, the property the distributed fabric's
-    byte-identity contract rests on.
+    byte-identity contract rests on.  Unknown keys are rejected, as
+    :meth:`ExecutionPlan.from_wire` rejects them.
     """
+    unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown ExperimentConfig wire fields: {unknown}")
     payload = dict(payload)
     cal = payload.pop("cal", None)
     if cal is not None:

@@ -32,8 +32,8 @@ Consequences, all exercised by ``tests/runtime/test_points.py``:
   served from disk with bit-identical values;
 * refining ``--v-step`` / ``--v-resolution`` or switching ``--strategy``
   re-prices only the voltages never measured before;
-* a version bump retires every point, while ``repeat_mode`` /
-  ``batch_budget`` flips keep the store warm.
+* a version bump retires every point, while ``batch_budget`` /
+  ``point_batch`` flips keep the store warm.
 
 Workers activate a store per work unit via :func:`point_scope` (a
 context-local, so process pools and in-process runs behave identically);

@@ -828,11 +828,7 @@ class CharacterizationIndex:
                 sweep_unit_id(benchmark, int(board)),
                 str(self._cache.blob_root),
             )
-            outcomes = run_tasks(
-                [(measure_round_task, task_args)],
-                jobs=1,
-                fabric=self._compute_fabric(),
-            )
+            outcomes = run_tasks([(measure_round_task, task_args)], fabric=self._compute_fabric())
             self.refresh()
             ((_index, kind, _measurement),) = outcomes[0].value
             return kind != "hang"

@@ -66,6 +66,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.errors import ReproError
 from repro.runtime.cache import ResultCache, normalize_result, result_to_payload
 from repro.runtime.chaos import PoisonedUnitError, poison_units
 from repro.runtime.hashing import current_version
@@ -321,7 +322,6 @@ def _execute_unit(
     config,
     plan: ExecutionPlan,
     cache: ResultCache,
-    jobs: int,
     fabric,
 ):
     """Run one leased unit on the local runtime; returns its result.
@@ -342,13 +342,7 @@ def _execute_unit(
     if unit["kind"] == "sweep":
         if plan.dispatch == "point" and fabric is not None:
             return run_sweep_unit_remote(
-                unit["benchmark"],
-                unit["board"],
-                config,
-                point_root,
-                blob_root,
-                fabric,
-                jobs=jobs,
+                unit["benchmark"], unit["board"], config, point_root, blob_root, fabric
             )
         return run_sweep_unit(unit["benchmark"], unit["board"], config, point_root, blob_root)
     if unit["kind"] == "experiment":
@@ -460,11 +454,15 @@ def run_worker(
                     f"version skew: coordinator runs {response.get('version')!r}, "
                     f"worker runs {current_version()!r}; results would be rejected"
                 )
-            unit = response["unit"]
-            unit_id = unit["unit_id"]
-            lease_id = response["lease_id"]
-            config = config_from_wire(response["config"])
-            plan = ExecutionPlan.from_wire(response["plan"])
+            try:
+                unit = response["unit"]
+                unit_id = unit["unit_id"]
+                fingerprint = unit["fingerprint"]
+                lease_id = response["lease_id"]
+                config = config_from_wire(response["config"])
+                plan = ExecutionPlan.from_wire(response["plan"])
+            except (KeyError, TypeError, ValueError, ReproError) as exc:
+                raise WorkerError(f"malformed lease: {type(exc).__name__}: {exc}") from exc
             effective_jobs = (
                 plan.resolved_jobs() if jobs is None else ExecutionPlan(jobs=jobs).resolved_jobs()
             )
@@ -473,7 +471,7 @@ def run_worker(
             # Trust-on-boot: the fingerprint embeds config and version
             # (both already validated), so a local cache hit is exactly
             # the result execution would recompute — post it instead.
-            hit = cache.load(unit["fingerprint"], unit_id)
+            hit = cache.load(fingerprint, unit_id)
             if hit is not None:
                 result, wall_s = hit.result, hit.wall_s
                 stats.units_from_cache += 1
@@ -496,9 +494,7 @@ def run_worker(
                 unit_started = time.perf_counter()
                 try:
                     with heartbeat:
-                        result = normalize_result(
-                            _execute_unit(unit, config, plan, cache, effective_jobs, fabric)
-                        )
+                        result = normalize_result(_execute_unit(unit, config, plan, cache, fabric))
                 except WorkerError:
                     raise
                 except Exception:
@@ -521,7 +517,7 @@ def run_worker(
                 wall_s = time.perf_counter() - unit_started
                 # Warm the local cache too: a re-leased or re-run unit
                 # on this host becomes a pure cache hit.
-                cache.store(unit["fingerprint"], unit_id, config, result, wall_s)
+                cache.store(fingerprint, unit_id, config, result, wall_s)
 
             try:
                 verdict = _post(
@@ -529,7 +525,7 @@ def run_worker(
                         {
                             "lease_id": lease_id,
                             "unit_id": unit_id,
-                            "fingerprint": unit["fingerprint"],
+                            "fingerprint": fingerprint,
                             "wall_s": wall_s,
                             "result": result_to_payload(result),
                             "points": _collect_points(cache, unit_id),

@@ -3,12 +3,32 @@
 import pytest
 
 from repro.analysis.metrics import (
-    gops_per_joule_proxy,
     gops_per_watt,
     improvement_factor,
     normalize,
     percent_gain,
 )
+from repro.core.session import Measurement
+
+
+def _measurement(gops: float, power_w: float) -> Measurement:
+    return Measurement(
+        benchmark="vggnet",
+        variant="INT8",
+        board_sample=0,
+        vccint_v=0.85,
+        f_mhz=333.0,
+        temperature_c=34.0,
+        accuracy=0.9,
+        accuracy_std=0.0,
+        accuracy_min=0.9,
+        clean_accuracy=0.9,
+        power_w=power_w,
+        bram_power_w=0.1,
+        gops=gops,
+        faults_per_run=0.0,
+        repeats=1,
+    )
 
 
 class TestMetrics:
@@ -20,9 +40,9 @@ class TestMetrics:
             gops_per_watt(100.0, 0.0)
 
     def test_gops_per_joule_ordering(self):
-        # Halving GOPs at constant power quarters the fixed-work ops/J proxy.
-        full = gops_per_joule_proxy(1000.0, 10.0)
-        half = gops_per_joule_proxy(500.0, 10.0)
+        # Halving GOPs at constant power quarters Table 2's GOPs/J metric.
+        full = _measurement(1000.0, 10.0).gops_per_joule
+        half = _measurement(500.0, 10.0).gops_per_joule
         assert half == pytest.approx(full / 4.0)
 
     def test_normalize(self):

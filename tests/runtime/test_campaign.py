@@ -19,6 +19,7 @@ from repro.runtime.campaign import (
     run_sweep_campaign,
 )
 from repro.runtime.executor import run_tasks
+from repro.runtime.fabric import WorkerFabric
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.shards import merge_unit_results, plan_units
 
@@ -83,9 +84,7 @@ def sharded_experiment():
         merged = ExperimentResult(experiment_id="zz_sharded", title="sharded")
         for shard in shards:
             merged.rows.extend(shard.rows)
-        merged.summary = {
-            "total_weight": sum(s.merge_state["weight"] for s in shards)
-        }
+        merged.summary = {"total_weight": sum(s.merge_state["weight"] for s in shards)}
         return merged
 
     def runner(config):
@@ -111,25 +110,26 @@ def _die_in_pool_worker(value):
 
 class TestExecutor:
     def test_serial_preserves_order_and_times(self):
-        outcomes = run_tasks([(len, (("a", "b"),)), (len, (("c",),))], jobs=1)
+        outcomes = run_tasks([(len, (("a", "b"),)), (len, (("c",),))])
         assert [o.value for o in outcomes] == [2, 1]
         assert all(o.worker == "serial" for o in outcomes)
         assert all(o.wall_s >= 0.0 for o in outcomes)
 
     def test_pool_preserves_input_order(self):
         tasks = [(pow, (2, i)) for i in range(8)]
-        outcomes = run_tasks(tasks, jobs=4)
+        with WorkerFabric(4) as fabric:
+            outcomes = run_tasks(tasks, fabric=fabric)
         assert [o.value for o in outcomes] == [2**i for i in range(8)]
+        assert {o.worker for o in outcomes} == {"pool"}
 
     def test_task_exception_propagates(self):
         with pytest.raises(ZeroDivisionError):
-            run_tasks([(divmod, (1, 0))], jobs=1)
+            run_tasks([(divmod, (1, 0))])
 
     def test_on_complete_fires_once_per_task_serially(self):
         seen = []
         outcomes = run_tasks(
             [(pow, (2, i)) for i in range(4)],
-            jobs=1,
             on_complete=lambda i, o: seen.append((i, o.value)),
         )
         assert seen == [(0, 1), (1, 2), (2, 4), (3, 8)]
@@ -150,7 +150,8 @@ class TestExecutor:
             seen[index] = outcome.value
 
         tasks = [(pow, (2, 3)), (_die_in_pool_worker, (7,)), (pow, (2, 4))]
-        outcomes = run_tasks(tasks, jobs=2, on_complete=on_complete)
+        with WorkerFabric(2) as fabric:
+            outcomes = run_tasks(tasks, fabric=fabric, on_complete=on_complete)
         assert [o.value for o in outcomes] == [8, 7, 16]
         assert seen == {0: 8, 1: 7, 2: 16}
         # The killer task can only have finished via the serial fallback.
@@ -226,10 +227,7 @@ class TestParallelEquivalence:
         assert serial.entries[0].n_shards == 1  # whole-experiment unit
         assert parallel.entries[0].n_shards == 4
         assert serial.entries[0].result.rows == parallel.entries[0].result.rows
-        assert (
-            serial.entries[0].result.summary
-            == parallel.entries[0].result.summary
-        )
+        assert serial.entries[0].result.summary == parallel.entries[0].result.summary
 
     def test_fig3_parallel_bit_identical_to_serial(self):
         serial = run_campaign(["fig3"], CFG, ExecutionPlan(jobs=1))
@@ -257,14 +255,10 @@ class TestCaching:
     def test_config_change_invalidates(self, counted_experiment, tmp_path):
         cache = ResultCache(tmp_path / "c")
         run_campaign(["zz_counted"], CFG, cache=cache)
-        run_campaign(
-            ["zz_counted"], CFG.with_overrides(samples=32), cache=cache
-        )
+        run_campaign(["zz_counted"], CFG.with_overrides(samples=32), cache=cache)
         assert counted_experiment["runner"] == 2
 
-    def test_version_change_invalidates(
-        self, counted_experiment, tmp_path, monkeypatch
-    ):
+    def test_version_change_invalidates(self, counted_experiment, tmp_path, monkeypatch):
         import repro.version
 
         cache = ResultCache(tmp_path / "c")
@@ -290,15 +284,11 @@ class TestCaching:
         assert counted_experiment["runner"] == 1
         assert len(outcome.entries) == 1
 
-    def test_cached_wall_time_is_the_compute_time(
-        self, counted_experiment, tmp_path
-    ):
+    def test_cached_wall_time_is_the_compute_time(self, counted_experiment, tmp_path):
         cache = ResultCache(tmp_path / "c")
         cold = run_campaign(["zz_counted"], CFG, cache=cache)
         warm = run_campaign(["zz_counted"], CFG, cache=cache)
-        assert warm.entries[0].wall_s == pytest.approx(
-            cold.entries[0].wall_s, abs=1e-5
-        )
+        assert warm.entries[0].wall_s == pytest.approx(cold.entries[0].wall_s, abs=1e-5)
 
 
 class TestSweepCampaign:

@@ -29,7 +29,7 @@ from repro.runtime.coordinator import (
     make_coordinator,
     resolve_work_units,
 )
-from repro.runtime.plan import config_from_wire
+from repro.runtime.plan import config_from_wire, config_to_wire
 from repro.runtime.remote_worker import (
     CoordinatorClient,
     run_worker,
@@ -259,14 +259,10 @@ class TestCoordinatorHTTP:
         fresh = client.lease("fast")
         assert fresh["status"] == "lease" and fresh["lease_id"] != stale["lease_id"]
         assert _scripted_complete(client, fresh, tmp_path / "fast")["status"] == "accepted"
-        entry_bytes = {
-            p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")
-        }
+        entry_bytes = {p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")}
         late = _scripted_complete(client, stale, tmp_path / "slow")
         assert late["status"] == "duplicate"
-        after = {
-            p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")
-        }
+        after = {p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")}
         assert after == entry_bytes  # idempotent: first writer's bytes kept
         thread.join(timeout=30)
         run = coordinator.journal.last_run(coordinator.campaign_id)
@@ -397,9 +393,7 @@ class TestTwoWorkerByteIdentity:
         assert completed == [sweep_unit_id("vggnet", 0), sweep_unit_id("vggnet", 1)]
 
         # Point store: same file names, same bytes.
-        serial_points = {
-            p.name: p.read_bytes() for p in serial_cache.point_root.glob("*.json")
-        }
+        serial_points = {p.name: p.read_bytes() for p in serial_cache.point_root.glob("*.json")}
         merged_points = {
             p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")
         }
@@ -410,9 +404,63 @@ class TestTwoWorkerByteIdentity:
         merged = run_sweep_campaign("vggnet", [0, 1], CFG, cache=coordinator.cache)
         assert all(e.cache_hit for e in merged.entries)
         assert [e.result for e in merged.entries] == [e.result for e in serial.entries]
-        assert [e.fingerprint for e in merged.entries] == [
-            e.fingerprint for e in serial.entries
-        ]
+        assert [e.fingerprint for e in merged.entries] == [e.fingerprint for e in serial.entries]
 
         run = coordinator.journal.last_run(coordinator.campaign_id)
         assert run["completed"] == 2 and run["recomputed"] == 0
+
+
+class _OneLeaseClient:
+    """Stands in for a coordinator that answers every lease with ``lease``."""
+
+    def __init__(self, lease):
+        self._lease = lease
+
+    def lease(self, worker_id):
+        return self._lease
+
+
+def _lease_from_older_peer() -> dict:
+    """A lease whose config still carries a knob this worker does not know."""
+    from repro.runtime.hashing import current_version
+    from repro.runtime.plan import ExecutionPlan, config_to_wire
+
+    return {
+        "status": "lease",
+        "version": current_version(),
+        "unit": _units(1)[0],
+        "lease_id": "lease-1",
+        "config": {**config_to_wire(CFG), "repeat_mode": "batched"},
+        "plan": ExecutionPlan().to_wire(),
+    }
+
+
+class TestMalformedLease:
+    def test_unknown_config_key_is_a_worker_error(self, tmp_path):
+        from repro.runtime.remote_worker import WorkerError
+
+        client = _OneLeaseClient(_lease_from_older_peer())
+        with pytest.raises(WorkerError, match="malformed lease.*repeat_mode"):
+            run_worker("http://unused", tmp_path / "w", client=client)
+
+    @pytest.mark.parametrize("field", ["unit", "lease_id", "config", "plan"])
+    def test_missing_field_is_a_worker_error(self, tmp_path, field):
+        from repro.runtime.remote_worker import WorkerError
+
+        lease = _lease_from_older_peer()
+        lease["config"] = config_to_wire(CFG)
+        del lease[field]
+        with pytest.raises(WorkerError, match="malformed lease"):
+            run_worker("http://unused", tmp_path / "w", client=_OneLeaseClient(lease))
+
+    def test_cli_worker_prints_error_and_exits_2(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.runtime import remote_worker
+
+        lease = _lease_from_older_peer()
+        monkeypatch.setattr(
+            remote_worker, "CoordinatorClient", lambda *a, **k: _OneLeaseClient(lease)
+        )
+        code = main(["worker", "--connect", "http://unused", "--cache-dir", str(tmp_path / "w")])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: malformed lease")

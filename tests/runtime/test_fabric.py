@@ -61,7 +61,7 @@ class TestLease:
             for round_no, n_tasks in enumerate((1, 3, 1, 2, 1)):
                 outcomes = run_tasks(
                     [(_worker_pid, (round_no,)) for _ in range(n_tasks)],
-                    jobs=2,
+                    fabric=fabric,
                 )
                 pids.update(o.value for o in outcomes)
             assert fabric.pools_spawned == 1
@@ -69,17 +69,19 @@ class TestLease:
             assert len(pids) <= 2
             assert os.getpid() not in pids
 
-    def test_active_fabric_adopted_only_when_parallel(self):
+    def test_run_tasks_without_fabric_is_serial_inside_a_lease(self):
+        """``run_tasks`` never adopts the active lease: only the fabric
+        it is given runs tasks on a pool."""
         with WorkerFabric(2) as fabric:
             assert active_fabric() is fabric
-            # jobs=1 rounds stay serial (bit-identical legacy path) ...
-            outcomes = run_tasks([(_worker_pid, (0,))], jobs=1)
-            assert outcomes[0].worker == "serial"
-            assert outcomes[0].value == os.getpid()
-            # ... unless the fabric is passed explicitly (probe dispatch).
-            outcomes = run_tasks([(_worker_pid, (0,))], jobs=1, fabric=fabric)
+            outcomes = run_tasks([(_worker_pid, (i,)) for i in range(3)])
+            assert [o.worker for o in outcomes] == ["serial"] * 3
+            assert {o.value for o in outcomes} == {os.getpid()}
+            assert fabric.pools_spawned == 0
+            outcomes = run_tasks([(_worker_pid, (0,))], fabric=fabric)
             assert outcomes[0].worker == "pool"
             assert outcomes[0].value != os.getpid()
+            assert fabric.pools_spawned == 1
         assert active_fabric() is None
 
     def test_fabric_scope_does_not_own_the_pool(self):
@@ -87,18 +89,18 @@ class TestLease:
         try:
             with fabric_scope(fabric):
                 assert active_fabric() is fabric
-                run_tasks([(_worker_pid, (0,)) for _ in range(2)], jobs=2)
+                run_tasks([(_worker_pid, (0,)) for _ in range(2)], fabric=fabric)
             assert active_fabric() is None
             assert fabric.pools_spawned == 1
             # The scope exits without closing: the lease owner decides.
-            run_tasks([(_worker_pid, (0,))], jobs=1, fabric=fabric)
+            run_tasks([(_worker_pid, (0,))], fabric=fabric)
             assert fabric.pools_spawned == 1
         finally:
             fabric.close()
 
     def test_jobs_one_fabric_is_serial(self):
         with WorkerFabric(1) as fabric:
-            outcomes = run_tasks([(_worker_pid, (0,))], jobs=1, fabric=fabric)
+            outcomes = run_tasks([(_worker_pid, (0,))], fabric=fabric)
             assert outcomes[0].worker == "serial"
             assert fabric.pools_spawned == 0
 
@@ -140,7 +142,7 @@ class TestChunking:
         with WorkerFabric(2) as fabric:
             outcomes = run_tasks(
                 [(pow, (2, i)) for i in range(11)],
-                jobs=2,
+                fabric=fabric,
                 on_complete=on_complete,
                 chunksize=3,
             )
@@ -192,14 +194,14 @@ class TestBrokenPool:
 
         with WorkerFabric(2) as fabric:
             tasks = [(pow, (2, 3)), (_die_in_pool_worker, (7,)), (pow, (2, 4))]
-            outcomes = run_tasks(tasks, jobs=2, on_complete=on_complete)
+            outcomes = run_tasks(tasks, fabric=fabric, on_complete=on_complete)
             assert [o.value for o in outcomes] == [8, 7, 16]
             assert seen == {0: 8, 1: 7, 2: 16}
             assert outcomes[1].worker == "serial-fallback"
             assert fabric.broken_pools == 1
             # Warm caches died with the workers; the next round gets a
             # fresh pool rather than a dead one.
-            outcomes = run_tasks([(pow, (2, 5))], jobs=1, fabric=fabric)
+            outcomes = run_tasks([(pow, (2, 5))], fabric=fabric)
             assert outcomes[0].value == 32 and outcomes[0].worker == "pool"
             assert fabric.pools_spawned == 2
 
@@ -228,7 +230,7 @@ class TestBrokenPool:
                 (_die_in_pool_worker, (7,)),
                 (run_sweep_unit, ("vggnet", 1, CFG, point_root, None)),
             ]
-            outcomes = run_tasks(tasks, jobs=2, on_complete=on_complete)
+            outcomes = run_tasks(tasks, fabric=fabric, on_complete=on_complete)
             assert fabric.broken_pools == 1
         results = [outcomes[0].value, outcomes[2].value]
         for entry, result in zip(reference.entries, results):
@@ -256,9 +258,7 @@ class TestBrokenPool:
         cache_a = ResultCache(tmp_path / "a")
         cache_b = ResultCache(tmp_path / "b")
         with WorkerFabric(2) as fabric:
-            reference = run_sweep_campaign(
-                "vggnet", [0], CFG, POINT, cache=cache_a, fabric=fabric
-            )
+            reference = run_sweep_campaign("vggnet", [0], CFG, POINT, cache=cache_a, fabric=fabric)
 
         # The crash: the first dispatched round's worker stores a prefix
         # of its points, then the pool dies mid-round.
@@ -280,7 +280,7 @@ class TestBrokenPool:
                 (measure_round_task, round_args),
                 (_die_in_pool_worker, (1,)),
             ]
-            run_tasks(tasks, jobs=2, fabric=fabric)
+            run_tasks(tasks, fabric=fabric)
             assert fabric.broken_pools == 1
         assert len(PointCache(cache_b.point_root).entries()) == 3  # the prefix
 
@@ -355,9 +355,7 @@ class TestCampaignsOnFabric:
         journal = CampaignJournal(cache.root / JOURNAL_NAME)
         ids = ("table1", "sec41")
         with WorkerFabric(2, blob_root=cache.blob_root):
-            first = run_campaign(
-                ids, CFG, ExecutionPlan(jobs=2), cache=cache, journal=journal
-            )
+            first = run_campaign(ids, CFG, ExecutionPlan(jobs=2), cache=cache, journal=journal)
         assert first.journal_stats["fresh"] == 2
         with WorkerFabric(2, blob_root=cache.blob_root):
             again = run_campaign(

@@ -81,14 +81,14 @@ class TestSensitivity:
     @pytest.mark.parametrize(
         "override",
         [
-            {"repeat_mode": "loop"},
+            {"point_batch": 1},
             {"batch_budget": 128},
-            {"repeat_mode": "loop", "batch_budget": 64},
+            {"point_batch": 16, "batch_budget": 64},
         ],
     )
     def test_execution_mode_keeps_the_key(self, override):
-        """Repeat modes produce bit-identical results, so flipping them
-        must keep warm caches valid (and pre-knob fingerprints stable)."""
+        """Execution knobs never change results, so flipping them must
+        keep warm caches valid (and pre-knob fingerprints stable)."""
         changed = self.BASE.with_overrides(**override)
         assert config_fingerprint("fig3", changed) == config_fingerprint("fig3", self.BASE)
 

@@ -53,7 +53,7 @@ class TestCampaignFingerprint:
 
     def test_execution_knobs_do_not_move_it(self):
         assert campaign_fingerprint(["fig3"], CFG, version="1.0") == campaign_fingerprint(
-            ["fig3"], CFG.with_overrides(repeat_mode="loop"), version="1.0"
+            ["fig3"], CFG.with_overrides(batch_budget=64, point_batch=1), version="1.0"
         )
 
 
@@ -104,7 +104,9 @@ class TestJournalFile:
 
         def hammer(campaign_id):
             journal = CampaignJournal(path)
-            journal.begin(campaign_id, [(f"u{i}", f"{campaign_id}-f{i}") for i in range(per_campaign)])
+            journal.begin(
+                campaign_id, [(f"u{i}", f"{campaign_id}-f{i}") for i in range(per_campaign)]
+            )
             for i in range(per_campaign):
                 journal.record_unit(campaign_id, f"{campaign_id}-f{i}", "fresh")
 
@@ -122,9 +124,7 @@ class TestResumableCampaigns:
     def run(self, ids, tmp_path, resume=False, config=CFG):
         cache = ResultCache(tmp_path / "cache")
         journal = CampaignJournal(cache.root / "journal.json")
-        return run_campaign(
-            ids, config, cache=cache, journal=journal, resume=resume
-        )
+        return run_campaign(ids, config, cache=cache, journal=journal, resume=resume)
 
     def test_fresh_run_records_plan_and_completions(self, two_experiments, tmp_path):
         outcome = self.run(["zz_a", "zz_b"], tmp_path)
@@ -135,9 +135,7 @@ class TestResumableCampaigns:
         assert stats["fresh"] == 2
         assert stats["resumed"] == stats["recomputed"] == 0
 
-    def test_interrupted_campaign_resumes_without_recompute(
-        self, two_experiments, tmp_path
-    ):
+    def test_interrupted_campaign_resumes_without_recompute(self, two_experiments, tmp_path):
         # "Interrupt": run only the first experiment, as if the campaign
         # died before reaching the second.
         self.run(["zz_a"], tmp_path)
@@ -146,9 +144,7 @@ class TestResumableCampaigns:
         # The resumed full campaign recomputes only the frontier...
         cache = ResultCache(tmp_path / "cache")
         journal = CampaignJournal(cache.root / "journal.json")
-        outcome = run_campaign(
-            ["zz_a", "zz_b"], CFG, cache=cache, journal=journal, resume=True
-        )
+        outcome = run_campaign(["zz_a", "zz_b"], CFG, cache=cache, journal=journal, resume=True)
         assert two_experiments["a"] == 1  # zz_a came from the cache
         assert two_experiments["b"] == 1
         stats = outcome.journal_stats
@@ -157,9 +153,7 @@ class TestResumableCampaigns:
         assert stats["cached"] == 1 and stats["fresh"] == 1
 
         # ...while re-running the identical campaign is a pure resume.
-        again = run_campaign(
-            ["zz_a", "zz_b"], CFG, cache=cache, journal=journal, resume=True
-        )
+        again = run_campaign(["zz_a", "zz_b"], CFG, cache=cache, journal=journal, resume=True)
         assert two_experiments["a"] == 1 and two_experiments["b"] == 1
         stats = again.journal_stats
         assert stats["resumed"] == 2
@@ -170,9 +164,7 @@ class TestResumableCampaigns:
         cache = ResultCache(tmp_path / "cache")
         cache.invalidate(first.entries[0].fingerprint)
         journal = CampaignJournal(cache.root / "journal.json")
-        outcome = run_campaign(
-            ["zz_a"], CFG, cache=cache, journal=journal, resume=True
-        )
+        outcome = run_campaign(["zz_a"], CFG, cache=cache, journal=journal, resume=True)
         assert two_experiments["a"] == 2
         assert outcome.journal_stats["recomputed"] == 1
         assert outcome.journal_stats["resumed"] == 0
@@ -193,11 +185,7 @@ class TestResumableCampaigns:
             original(campaign_id, fingerprint, outcome, wall_s=wall_s)
             on_disk = CampaignJournal(journal.path).campaign(campaign_id)
             seen.append(
-                sum(
-                    1
-                    for unit in on_disk["units"].values()
-                    if unit.get("status") == "completed"
-                )
+                sum(1 for unit in on_disk["units"].values() if unit.get("status") == "completed")
             )
 
         journal.record_unit = spy

@@ -74,6 +74,12 @@ class TestWire:
         with pytest.raises(ValueError, match="unknown ExecutionPlan wire fields"):
             ExecutionPlan.from_wire({"jobs": 1, "gpus": 8})
 
+    def test_unknown_config_wire_field_rejected(self):
+        """A retired knob from an older peer is named, not a TypeError."""
+        wired = {**config_to_wire(CFG), "repeat_mode": "batched"}
+        with pytest.raises(ValueError, match=r"wire fields: \['repeat_mode'\]"):
+            config_from_wire(wired)
+
     def test_config_round_trip_preserves_fingerprints(self):
         """The byte-identity contract: a worker's rebuilt config keys
         the exact same cache entries as the coordinator's original."""

@@ -51,7 +51,7 @@ class TestPointKey:
         context = point_context(session, 570.0, None)
         base = point_fingerprint(SCOPE, context, CFG)
         for overrides in (
-            {"repeat_mode": "loop"},
+            {"point_batch": 1},
             {"batch_budget": 7},
             {"v_step": 0.001},
             {"strategy": "adaptive"},
@@ -155,12 +155,12 @@ class TestCachedSweeps:
         sweep(fresh_session(workload), CFG, cache)
         assert cache.stats.stores == 2 * stores  # everything recomputed
 
-    def test_repeat_mode_flip_keeps_points_warm(self, workload, tmp_path):
+    def test_execution_knob_flip_keeps_points_warm(self, workload, tmp_path):
         cache = PointCache(tmp_path / "points")
         cold = sweep(fresh_session(workload), CFG, cache)
-        loop_config = CFG.with_overrides(repeat_mode="loop", batch_budget=64)
+        flipped = CFG.with_overrides(batch_budget=64, point_batch=1)
         before = cache.stats.stores
-        warm = sweep(fresh_session(workload, loop_config), loop_config, cache)
+        warm = sweep(fresh_session(workload, flipped), flipped, cache)
         assert cache.stats.stores == before
         assert [p.measurement for p in warm.points] == [p.measurement for p in cold.points]
 
@@ -282,7 +282,7 @@ class TestGridAdaptiveProperty:
                 {"strategy": "grid", "v_step": 0.005},
                 {"strategy": "adaptive", "v_step": 0.005},
                 {"strategy": "adaptive", "v_resolution": 0.0025},
-                {"strategy": "grid", "v_resolution": 0.0025, "repeat_mode": "loop"},
+                {"strategy": "grid", "v_resolution": 0.0025, "batch_budget": 64},
             ]
         ),
     )

@@ -5,7 +5,6 @@ tests pin the top-level API and require docstrings on every public module.
 """
 
 import importlib
-import pkgutil
 
 import pytest
 
@@ -46,7 +45,6 @@ PUBLIC_MODULES = [
     "repro.dpu.compiler",
     "repro.dpu.memory",
     "repro.dpu.perf",
-    "repro.dpu.isa",
     "repro.dpu.engine",
     "repro.faults",
     "repro.faults.model",
@@ -112,9 +110,7 @@ class TestSurface:
             "from repro.models import zoo\n"
             "print(zoo._build_cached.cache_info().currsize)\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "0"
 
