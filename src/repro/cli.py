@@ -23,7 +23,9 @@ experiments plus individual sweep voltage points), and the full set of
 :class:`~repro.core.experiment.ExperimentConfig` knobs (``--v-step``,
 ``--strategy``, ``--v-resolution``, ``--width-scale``,
 ``--accuracy-tolerance``, ``--batch-budget``, ``--point-batch``).
-``campaign`` additionally journals its plan under the cache dir and
+Each such command runs exactly one campaign, and with ``--jobs N > 1``
+that campaign owns one worker pool for every round it dispatches (see
+:mod:`repro.runtime.campaign`).  ``campaign`` additionally journals its plan under the cache dir and
 accepts ``--resume`` to pick an interrupted campaign back up, skipping
 every unit (and every already-measured voltage point) that completed.
 
@@ -109,24 +111,6 @@ def _plan_from_args(args):
     return ExecutionPlan(jobs=args.jobs, dispatch=getattr(args, "dispatch", "unit"))
 
 
-def _fabric_from_args(args, cache):
-    """One leased worker fabric per CLI invocation (no-op when serial).
-
-    Entering the returned context activates the fabric, so every
-    campaign round the command issues — experiments, sweeps, the
-    adaptive strategy's bisection probes — shares one persistent pool
-    and its warm workers instead of respawning per round.
-    """
-    from contextlib import nullcontext
-
-    if args.jobs <= 1:
-        return nullcontext()
-    from repro.runtime.fabric import WorkerFabric
-
-    blob_root = cache.blob_root if cache is not None else None
-    return WorkerFabric(args.jobs, blob_root=blob_root)
-
-
 def _add_config_flags(parser, *, repeats: int, samples: int) -> None:
     from repro.core.experiment import ExperimentConfig
 
@@ -184,8 +168,8 @@ def _add_runtime_flags(parser) -> None:
     parser.add_argument(
         "--jobs", type=_jobs_arg, default=1,
         help="worker processes for the campaign runtime, or 'auto' for "
-             "one per CPU (default 1 = serial); parallel runs lease one "
-             "persistent worker fabric for the whole invocation",
+             "one per CPU (default 1 = serial); a parallel command runs one "
+             "campaign on one persistent worker pool, shared by all its rounds",
     )
     parser.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR,
@@ -210,8 +194,7 @@ def _cmd_run(args) -> int:
 
     config = _config_from_args(args)
     cache = _cache_from_args(args)
-    with _fabric_from_args(args, cache):
-        outcome = run_campaign([args.experiment], config, _plan_from_args(args), cache=cache)
+    outcome = run_campaign([args.experiment], config, _plan_from_args(args), cache=cache)
     entry = outcome.entries[0]
     result = entry.result
     print(result.render())
@@ -235,10 +218,7 @@ def _cmd_sweep(args) -> int:
     else:
         boards = [args.board]
     cache = _cache_from_args(args)
-    with _fabric_from_args(args, cache):
-        outcome = run_sweep_campaign(
-            args.benchmark, boards, config, _plan_from_args(args), cache=cache
-        )
+    outcome = run_sweep_campaign(args.benchmark, boards, config, _plan_from_args(args), cache=cache)
     for board, entry in zip(boards, outcome.entries):
         print(
             render_table(
@@ -257,11 +237,10 @@ def _cmd_report(args) -> int:
 
     config = _config_from_args(args)
     cache = _cache_from_args(args)
-    with _fabric_from_args(args, cache):
-        report = generate_report(
-            config, plan=_plan_from_args(args), cache=cache,
-            journal=_journal_from_args(args, cache),
-        )
+    report = generate_report(
+        config, plan=_plan_from_args(args), cache=cache,
+        journal=_journal_from_args(args, cache),
+    )
     with open(args.out, "w") as f:
         f.write(report)
     print(f"wrote {args.out} ({len(report.splitlines())} lines)")
@@ -288,11 +267,10 @@ def _cmd_campaign(args) -> int:
     if args.resume and cache is None:
         print("error: --resume requires the result cache (drop --no-cache)")
         return 2
-    with _fabric_from_args(args, cache):
-        outcome = run_campaign(
-            ids, config, _plan_from_args(args), cache=cache,
-            journal=_journal_from_args(args, cache), resume=args.resume,
-        )
+    outcome = run_campaign(
+        ids, config, _plan_from_args(args), cache=cache,
+        journal=_journal_from_args(args, cache), resume=args.resume,
+    )
     rows = [
         {
             "experiment": e.experiment_id,
@@ -358,11 +336,10 @@ def _cmd_fleet(args) -> int:
         epoch_s=args.epoch,
         deadline_s=args.deadline,
     )
-    with _fabric_from_args(args, cache):
-        outcome = run_fleet_campaign(
-            spec, policies, config, _plan_from_args(args), cache=cache,
-            journal=_journal_from_args(args, cache), resume=args.resume,
-        )
+    outcome = run_fleet_campaign(
+        spec, policies, config, _plan_from_args(args), cache=cache,
+        journal=_journal_from_args(args, cache), resume=args.resume,
+    )
     rows = fleet_policy_rows(outcome, spec, policies)
     payload = fleet_payload(spec, rows)
     print(render_fleet_markdown(payload))

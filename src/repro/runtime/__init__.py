@@ -80,7 +80,7 @@ from repro.runtime.campaign import (
     run_sweep_campaign,
 )
 from repro.runtime.executor import TaskOutcome, run_tasks
-from repro.runtime.fabric import WorkerFabric, active_fabric, fabric_scope, resolve_jobs
+from repro.runtime.fabric import WorkerFabric, active_fabric, resolve_jobs
 from repro.runtime.hashing import config_fingerprint, point_fingerprint, point_fingerprinter
 from repro.runtime.journal import CampaignJournal, campaign_fingerprint
 from repro.runtime.plan import ExecutionPlan
@@ -124,7 +124,6 @@ __all__ = [
     "blob_plane",
     "campaign_fingerprint",
     "config_fingerprint",
-    "fabric_scope",
     "maybe_blob_plane",
     "merge_unit_results",
     "open_index",

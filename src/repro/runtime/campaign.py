@@ -26,6 +26,13 @@ and the journal records which planned units completed — so a campaign
 killed mid-flight resumes from its frontier with ``resume=True`` and
 recomputes only work that never finished.
 
+All three campaign kinds — registry experiments (``run_campaign``),
+board sweeps (``run_sweep_campaign``) and fleets
+(``run_fleet_campaign``) — only build their requests; one
+:class:`_CampaignRun` resolves the plan, cache and worker fabric and
+executes them, so a campaign runs on one pool however many rounds (or
+nested reference sweeps) it dispatches.
+
 The returned :class:`CampaignOutcome` keeps per-experiment provenance
 (fingerprint, cache hit/miss, aggregate shard wall time) for
 ``EXPERIMENTS.md``'s run-metadata table, plus the run's resume accounting
@@ -184,135 +191,154 @@ class _PendingUnit:
         self.entry: CampaignEntry | None = None
 
 
-def _execute_cached(
-    requests: Sequence[_Request],
-    config: ExperimentConfig,
-    cache: ResultCache | None,
-    journal: CampaignJournal | None = None,
-    campaign_id: str | None = None,
-    resume: bool = False,
-    fabric: WorkerFabric | None = None,
-    threads: int = 0,
-) -> list[CampaignEntry]:
-    """The shared cache-consult / fan-out / merge / store sequence.
+class _CampaignRun:
+    """One campaign's execution context, resolved once.
 
-    Both campaign kinds (registry experiments and board sweeps) reduce to
-    this: tasks from *all* cache misses run through one executor pass, so
-    the pool stays saturated across request boundaries, and every entry
-    records the same provenance either way.  Each unit is finalized —
-    merged, normalized, stored, journaled — the moment its last task
-    completes, so an interrupted campaign leaves every finished unit
-    durable on disk rather than losing the whole batch.
+    The plan (default when ``None``) is applied to the config, ``jobs``
+    resolved, the cache opened from ``plan.cache_dir`` when none is
+    attached, and the worker fabric chosen: the one passed in, else the
+    scope's active lease (:func:`~repro.runtime.fabric.active_fabric`),
+    else — with ``jobs > 1`` — a fabric this run owns and closes on
+    exit.  With one job and no lease everything stays serial.  This is
+    the one place a campaign decides who owns the pool; a campaign that
+    runs another (a fleet's reference sweeps) hands it ``run.fabric``.
     """
-    fingerprints = {
-        unit_id: config_fingerprint(unit_id, config) for unit_id, _, _ in requests
-    }
-    prior_completed: set[str] = set()
-    if journal is not None and campaign_id is not None:
-        plan = [(unit_id, fingerprints[unit_id]) for unit_id, _, _ in requests]
-        prior_completed = journal.begin(campaign_id, plan, resume=resume)
 
-    def journal_unit(fingerprint: str, cache_hit: bool, wall_s: float) -> None:
-        if journal is None or campaign_id is None:
-            return
-        if cache_hit:
-            outcome = "resumed" if fingerprint in prior_completed else "cached"
-        else:
-            outcome = "recomputed" if fingerprint in prior_completed else "fresh"
-        journal.record_unit(campaign_id, fingerprint, outcome, wall_s=wall_s)
+    def __init__(
+        self,
+        config: ExperimentConfig | None,
+        plan: ExecutionPlan | None,
+        cache: ResultCache | None,
+        fabric: WorkerFabric | None,
+    ):
+        self.plan = plan or ExecutionPlan()
+        self.config = self.plan.apply_to(config or ExperimentConfig())
+        self.jobs = self.plan.resolved_jobs()
+        if cache is None and self.plan.cache_dir is not None:
+            cache = ResultCache(self.plan.cache_dir)
+        self.cache = cache
+        self.point_root = str(cache.point_root) if cache is not None else None
+        self.blob_root = str(cache.blob_root) if cache is not None else None
+        self._owned: WorkerFabric | None = None
+        if fabric is None:
+            fabric = active_fabric()
+        if fabric is None and self.jobs > 1:
+            fabric = self._owned = WorkerFabric(self.jobs, blob_root=self.blob_root)
+        self.fabric = fabric
 
-    entries: dict[str, CampaignEntry] = {}
-    pending: list[_PendingUnit] = []
-    for unit_id, make_tasks, merge in requests:
-        fingerprint = fingerprints[unit_id]
-        hit = cache.load(fingerprint, unit_id) if cache is not None else None
-        if hit is not None:
-            entries[unit_id] = CampaignEntry(
-                experiment_id=unit_id,
-                fingerprint=fingerprint,
-                result=hit.result,
-                cache_hit=True,
-                wall_s=hit.wall_s,
-                n_shards=0,
-                worker="cache",
+    def __enter__(self) -> "_CampaignRun":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._owned is not None:
+            self._owned.close()
+
+    def execute(
+        self,
+        requests: Sequence[_Request],
+        journal: CampaignJournal | None = None,
+        resume: bool = False,
+        threads: int = 0,
+    ) -> CampaignOutcome:
+        """The shared cache-consult / fan-out / merge / store sequence.
+
+        Every campaign kind reduces to this: tasks from *all* cache
+        misses run through one executor pass, so the pool stays saturated
+        across request boundaries, and every entry records the same
+        provenance either way.  Each unit is finalized — merged,
+        normalized, stored, journaled — the moment its last task
+        completes, so an interrupted campaign leaves every finished unit
+        durable on disk rather than losing the whole batch.  With
+        ``threads > 0`` the tasks are dispatchers that carry the fabric
+        themselves and run on parent threads instead of the pool.
+        """
+        config, cache = self.config, self.cache
+        fingerprints = {unit_id: config_fingerprint(unit_id, config) for unit_id, _, _ in requests}
+        campaign_id = None
+        if journal is not None:
+            unit_ids = [unit_id for unit_id, _, _ in requests]
+            campaign_id = campaign_fingerprint(unit_ids, config)
+            journal.begin(campaign_id, [(u, fingerprints[u]) for u in unit_ids], resume=resume)
+
+        def journal_unit(fingerprint: str, cache_hit: bool, wall_s: float) -> None:
+            if journal is not None:
+                journal.record_unit(campaign_id, fingerprint, cache_hit=cache_hit, wall_s=wall_s)
+
+        entries: dict[str, CampaignEntry] = {}
+        pending: list[_PendingUnit] = []
+        for unit_id, make_tasks, merge in requests:
+            fingerprint = fingerprints[unit_id]
+            hit = cache.load(fingerprint, unit_id) if cache is not None else None
+            if hit is not None:
+                entries[unit_id] = CampaignEntry(
+                    experiment_id=unit_id,
+                    fingerprint=fingerprint,
+                    result=hit.result,
+                    cache_hit=True,
+                    wall_s=hit.wall_s,
+                    n_shards=0,
+                    worker="cache",
+                )
+                journal_unit(fingerprint, cache_hit=True, wall_s=hit.wall_s)
+            else:
+                pending.append(_PendingUnit(unit_id, fingerprint, make_tasks(), merge))
+
+        flat: list = []
+        owner: list[tuple[_PendingUnit, int]] = []
+        for unit in pending:
+            for local_index, task in enumerate(unit.tasks):
+                flat.append(task)
+                owner.append((unit, local_index))
+
+        def finalize(unit: _PendingUnit) -> None:
+            mine = [o for o in unit.outcomes if o is not None]
+            merged = normalize_result(unit.merge([o.value for o in mine]))
+            wall_s = sum(o.wall_s for o in mine)
+            if cache is not None:
+                cache.store(unit.fingerprint, unit.unit_id, config, merged, wall_s)
+            unit.entry = CampaignEntry(
+                experiment_id=unit.unit_id,
+                fingerprint=unit.fingerprint,
+                result=merged,
+                cache_hit=False,
+                wall_s=wall_s,
+                n_shards=len(unit.tasks),
+                worker=mine[0].worker if mine else "serial",
             )
-            journal_unit(fingerprint, cache_hit=True, wall_s=hit.wall_s)
+            journal_unit(unit.fingerprint, cache_hit=False, wall_s=wall_s)
+
+        def on_complete(flat_index: int, outcome: TaskOutcome) -> None:
+            unit, local_index = owner[flat_index]
+            if unit.entry is not None:
+                # Defensive: the executor fires once per index, but a
+                # replayed duplicate would carry bit-identical values —
+                # ignore it rather than double-count the unit.
+                return
+            if unit.outcomes[local_index] is None:
+                unit.remaining -= 1
+            unit.outcomes[local_index] = outcome
+            if unit.remaining == 0:
+                finalize(unit)
+
+        if threads > 0:
+            # In-process thread fan-out: the tasks are dispatchers
+            # (point-mode sweep drivers) that must not be pickled to a
+            # pool but should still overlap, each feeding the fabric.
+            run_tasks_threaded(flat, threads, on_complete=on_complete)
         else:
-            pending.append(_PendingUnit(unit_id, fingerprint, make_tasks(), merge))
+            run_tasks(flat, on_complete=on_complete, fabric=self.fabric)
 
-    flat: list = []
-    owner: list[tuple[_PendingUnit, int]] = []
-    for unit in pending:
-        for local_index, task in enumerate(unit.tasks):
-            flat.append(task)
-            owner.append((unit, local_index))
-
-    def finalize(unit: _PendingUnit) -> None:
-        mine = [o for o in unit.outcomes if o is not None]
-        merged = normalize_result(unit.merge([o.value for o in mine]))
-        wall_s = sum(o.wall_s for o in mine)
-        if cache is not None:
-            cache.store(unit.fingerprint, unit.unit_id, config, merged, wall_s)
-        unit.entry = CampaignEntry(
-            experiment_id=unit.unit_id,
-            fingerprint=unit.fingerprint,
-            result=merged,
-            cache_hit=False,
-            wall_s=wall_s,
-            n_shards=len(unit.tasks),
-            worker=mine[0].worker if mine else "serial",
+        for unit in pending:
+            if unit.entry is None:  # pragma: no cover - executor guarantees completion
+                raise RuntimeError(f"unit {unit.unit_id!r} never completed")
+            entries[unit.unit_id] = unit.entry
+        return CampaignOutcome(
+            entries=tuple(entries[unit_id] for unit_id, _, _ in requests),
+            config=config,
+            jobs=self.jobs,
+            campaign_id=campaign_id,
+            journal_stats=journal.last_run(campaign_id) if journal is not None else None,
         )
-        journal_unit(unit.fingerprint, cache_hit=False, wall_s=wall_s)
-
-    def on_complete(flat_index: int, outcome: TaskOutcome) -> None:
-        unit, local_index = owner[flat_index]
-        if unit.entry is not None:
-            # Defensive: the executor fires once per index, but a replayed
-            # duplicate would carry bit-identical values — ignore it
-            # rather than double-count the unit.
-            return
-        if unit.outcomes[local_index] is None:
-            unit.remaining -= 1
-        unit.outcomes[local_index] = outcome
-        if unit.remaining == 0:
-            finalize(unit)
-
-    if threads > 0:
-        # In-process thread fan-out: the tasks are dispatchers (point-mode
-        # sweep drivers) that must not be pickled to a pool but should
-        # still overlap, each feeding the shared fabric.
-        run_tasks_threaded(flat, threads, on_complete=on_complete)
-    else:
-        run_tasks(flat, on_complete=on_complete, fabric=fabric)
-
-    for unit in pending:
-        if unit.entry is None:  # pragma: no cover - executor guarantees completion
-            raise RuntimeError(f"unit {unit.unit_id!r} never completed")
-        entries[unit.unit_id] = unit.entry
-    return [entries[unit_id] for unit_id, _, _ in requests]
-
-
-def _leased_fabric(
-    fabric: WorkerFabric | None, jobs: int, cache: ResultCache | None
-) -> tuple[WorkerFabric | None, WorkerFabric | None]:
-    """Resolve the fabric a campaign runs on: given, leased, or owned.
-
-    Returns ``(fabric, owned)`` — ``owned`` is a fabric this call created
-    (and must close when it finishes); an explicitly passed or
-    scope-leased fabric is used as-is so one pool serves every round of
-    an enclosing lease.  With ``jobs <= 1`` and no lease everything stays
-    serial and no fabric is involved.
-    """
-    if fabric is not None:
-        return fabric, None
-    fabric = active_fabric()
-    if fabric is not None:
-        return fabric, None
-    if jobs <= 1:
-        return None, None
-    blob_root = str(cache.blob_root) if cache is not None else None
-    owned = WorkerFabric(jobs, blob_root=blob_root)
-    return owned, owned
 
 
 def run_campaign(
@@ -346,62 +372,29 @@ def run_campaign(
     threaded to the workers, which load spilled models memory-mapped
     instead of rebuilding them.
     """
-    exec_plan = plan or ExecutionPlan()
-    config = exec_plan.apply_to(config or ExperimentConfig())
-    jobs = exec_plan.resolved_jobs()
-    if cache is None and exec_plan.cache_dir is not None:
-        cache = ResultCache(exec_plan.cache_dir)
-    ids: list[str] = []
-    for exp_id in experiment_ids:
-        if exp_id not in ids:
-            ids.append(exp_id)
+    ids = list(dict.fromkeys(experiment_ids))
     for exp_id in ids:
         get_spec(exp_id)  # fail fast on unknown ids, before touching cache
-    point_root = str(cache.point_root) if cache is not None else None
-    blob_root = str(cache.blob_root) if cache is not None else None
-    fabric, owned = _leased_fabric(fabric, jobs, cache)
+    with _CampaignRun(config, plan, cache, fabric) as run:
+        config = run.config
+        # Sharding only pays when there is a pool to spread shards over;
+        # the serial path keeps the historical one-call-per-experiment
+        # shape by construction.
+        shard = shard and run.jobs > 1
 
-    def request_for(exp_id: str) -> _Request:
-        def make_tasks() -> list:
-            # Sharding only pays when there is a pool to spread shards
-            # over; the serial path keeps the historical
-            # one-call-per-experiment shape by construction.
-            units = plan_units(exp_id, config, shard=shard and jobs > 1)
-            return [
-                (run_unit, (u.experiment_id, u.shard_key, config, point_root, blob_root))
-                for u in units
-            ]
+        def request_for(exp_id: str) -> _Request:
+            def make_tasks() -> list:
+                units = plan_units(exp_id, config, shard=shard)
+                roots = (run.point_root, run.blob_root)
+                return [(run_unit, (u.experiment_id, u.shard_key, config, *roots)) for u in units]
 
-        def merge(results: list) -> ExperimentResult:
-            units = plan_units(exp_id, config, shard=shard and jobs > 1)
-            return merge_unit_results(exp_id, config, units, results)
+            def merge(results: list) -> ExperimentResult:
+                units = plan_units(exp_id, config, shard=shard)
+                return merge_unit_results(exp_id, config, units, results)
 
-        return exp_id, make_tasks, merge
+            return exp_id, make_tasks, merge
 
-    campaign_id = campaign_fingerprint(ids, config) if journal is not None else None
-    try:
-        entries = _execute_cached(
-            [request_for(e) for e in ids],
-            config,
-            cache,
-            journal=journal,
-            campaign_id=campaign_id,
-            resume=resume,
-            fabric=fabric,
-        )
-    finally:
-        if owned is not None:
-            owned.close()
-    stats = None
-    if journal is not None and campaign_id is not None:
-        stats = journal.last_run(campaign_id)
-    return CampaignOutcome(
-        entries=tuple(entries),
-        config=config,
-        jobs=jobs,
-        campaign_id=campaign_id,
-        journal_stats=stats,
-    )
+        return run.execute([request_for(e) for e in ids], journal, resume)
 
 
 # ----------------------------------------------------------------------
@@ -601,65 +594,31 @@ def run_sweep_campaign(
     the sweep plan and per-board completions are written through, and a
     resumed campaign counts previously completed boards as resumed work.
     """
-    exec_plan = plan or ExecutionPlan()
-    dispatch = exec_plan.dispatch
-    config = exec_plan.apply_to(config or ExperimentConfig())
-    jobs = exec_plan.resolved_jobs()
-    if cache is None and exec_plan.cache_dir is not None:
-        cache = ResultCache(exec_plan.cache_dir)
-    point_root = str(cache.point_root) if cache is not None else None
-    blob_root = str(cache.blob_root) if cache is not None else None
-    fabric, owned = _leased_fabric(fabric, jobs, cache)
+    with _CampaignRun(config, plan, cache, fabric) as run:
+        config = run.config
+        point_mode = run.plan.dispatch == "point"
 
-    def request_for(board: int) -> _Request:
-        if dispatch == "point":
-            # The unit runs in-process on a parent thread (its probes
-            # dispatch); the outer pass must never pickle the fabric
-            # handle in the task args, so it uses threads, not a pool.
-            remote_args = (benchmark, board, config, point_root, blob_root, fabric)
-            return (
-                sweep_unit_id(benchmark, board),
-                lambda: [(run_sweep_unit_remote, remote_args)],
-                lambda results: results[0],
-            )
-        return (
-            sweep_unit_id(benchmark, board),
-            lambda: [(run_sweep_unit, (benchmark, board, config, point_root, blob_root))],
-            lambda results: results[0],
-        )
+        def request_for(board: int) -> _Request:
+            if point_mode:
+                # The unit runs in-process on a parent thread (its probes
+                # dispatch); the outer pass must never pickle the fabric
+                # handle in the task args, so it uses threads, not a pool.
+                task = (
+                    run_sweep_unit_remote,
+                    (benchmark, board, config, run.point_root, run.blob_root, run.fabric),
+                )
+            else:
+                task = (run_sweep_unit, (benchmark, board, config, run.point_root, run.blob_root))
+            return sweep_unit_id(benchmark, board), lambda: [task], lambda results: results[0]
 
-    campaign_id = (
-        campaign_fingerprint([sweep_unit_id(benchmark, b) for b in boards], config)
-        if journal is not None
-        else None
-    )
-    try:
-        entries = _execute_cached(
+        return run.execute(
             [request_for(b) for b in boards],
-            config,
-            cache,
-            journal=journal,
-            campaign_id=campaign_id,
-            resume=resume,
-            fabric=fabric if dispatch == "unit" else None,
+            journal,
+            resume,
             # Point mode: drive the per-board strategies on parent threads
-            # so every fabric worker stays busy across boards, while the
-            # fabric handle in the task args is never pickled.
-            threads=0 if dispatch == "unit" else min(jobs, max(1, len(boards))),
+            # so every fabric worker stays busy across boards.
+            threads=min(run.jobs, max(1, len(boards))) if point_mode else 0,
         )
-    finally:
-        if owned is not None:
-            owned.close()
-    stats = None
-    if journal is not None and campaign_id is not None:
-        stats = journal.last_run(campaign_id)
-    return CampaignOutcome(
-        entries=tuple(entries),
-        config=config,
-        jobs=jobs,
-        campaign_id=campaign_id,
-        journal_stats=stats,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -770,85 +729,42 @@ def run_fleet_campaign(
     ``(policy, chunk)`` is one cacheable unit whose fingerprint covers the
     spec digest, the policy, and the config, so re-running a spec is a
     cache hit and ``--resume`` skips completed chunks.  Before sharding,
-    the parent ensures the reference boards' characterization sweeps exist
-    (compute-through via the index) and computes the fleet-wide policy
-    constants once, so workers only ever *read* the store.
+    the parent sweeps the reference boards (cache hits when already
+    characterized; otherwise one sweep campaign on this campaign's own
+    fabric) and computes the fleet-wide policy constants once, so
+    workers only ever *read* the store.
 
     ``policies`` defaults to every shipped policy, in canonical order.
     """
     from repro.fleet.boards import mint_fleet
     from repro.fleet.policy import POLICY_NAMES, prepare_policies
-    from repro.runtime.query import CharacterizationIndex
 
-    exec_plan = plan or ExecutionPlan()
-    config = exec_plan.apply_to(config or ExperimentConfig())
-    jobs = exec_plan.resolved_jobs()
-    if cache is None and exec_plan.cache_dir is not None:
-        cache = ResultCache(exec_plan.cache_dir)
-    if cache is None:
-        raise ValueError(
-            "fleet campaigns require a result cache: policies read "
-            "reference curves from the characterization store"
-        )
     policies = tuple(policies) if policies else POLICY_NAMES
-    cache_dir = str(cache.root)
-
-    # Parent-side preparation: make sure every reference board has its
-    # sweep (a cache hit when already characterized, a parallel
-    # compute-through otherwise), then read the curves.
-    index = CharacterizationIndex(cache_dir, config=config, jobs=jobs)
-    try:
-        for ref in spec.ref_boards:
-            index.ensure_sweep(spec.benchmark, ref)
-    finally:
-        index.close()
-    curves = _fleet_curves(spec.benchmark, spec.ref_boards, config, cache_dir)
-    boards = mint_fleet(spec, cal=config.cal)
-    prep = prepare_policies(spec, boards, curves, policies, config)
-
-    def request_for(policy: str, lo: int, hi: int) -> _Request:
-        return (
-            fleet_unit_id(spec, policy, lo, hi),
-            lambda: [
-                (run_fleet_unit, (spec, policy, lo, hi, config, cache_dir, prep))
-            ],
-            lambda results: results[0],
+    with _CampaignRun(config, plan, cache, fabric) as run:
+        if run.cache is None:
+            raise ValueError(
+                "fleet campaigns require a result cache: policies read "
+                "reference curves from the characterization store"
+            )
+        config = run.config
+        cache_dir = str(run.cache.root)
+        run_sweep_campaign(
+            spec.benchmark, spec.ref_boards, config, run.plan, cache=run.cache, fabric=run.fabric
         )
+        curves = _fleet_curves(spec.benchmark, spec.ref_boards, config, cache_dir)
+        boards = mint_fleet(spec, cal=config.cal)
+        prep = prepare_policies(spec, boards, curves, policies, config)
 
-    requests = [
-        request_for(policy, lo, hi)
-        for policy in policies
-        for lo, hi in fleet_chunks(spec.n_boards)
-    ]
-    campaign_id = (
-        campaign_fingerprint([r[0] for r in requests], config)
-        if journal is not None
-        else None
-    )
-    fabric, owned = _leased_fabric(fabric, jobs, cache)
-    try:
-        entries = _execute_cached(
-            requests,
-            config,
-            cache,
-            journal=journal,
-            campaign_id=campaign_id,
-            resume=resume,
-            fabric=fabric,
-        )
-    finally:
-        if owned is not None:
-            owned.close()
-    stats = None
-    if journal is not None and campaign_id is not None:
-        stats = journal.last_run(campaign_id)
-    return CampaignOutcome(
-        entries=tuple(entries),
-        config=config,
-        jobs=jobs,
-        campaign_id=campaign_id,
-        journal_stats=stats,
-    )
+        def request_for(policy: str, lo: int, hi: int) -> _Request:
+            task = (run_fleet_unit, (spec, policy, lo, hi, config, cache_dir, prep))
+            return fleet_unit_id(spec, policy, lo, hi), lambda: [task], lambda results: results[0]
+
+        requests = [
+            request_for(policy, lo, hi)
+            for policy in policies
+            for lo, hi in fleet_chunks(spec.n_boards)
+        ]
+        return run.execute(requests, journal, resume)
 
 
 def fleet_policy_rows(

@@ -444,7 +444,6 @@ class CampaignCoordinator(HttpService):
         )
         self._journaled_quarantines: set[str] = set()
         self.campaign_id = campaign_fingerprint([unit["unit_id"] for unit in self.units], config)
-        self._prior_completed: set[str] = set()
         self._fingerprints = {unit["unit_id"]: unit["fingerprint"] for unit in self.units}
         self._results_merged = 0
         self._points_written = 0
@@ -476,7 +475,7 @@ class CampaignCoordinator(HttpService):
         board, so workers only ever see genuinely unfinished work.
         """
         if self.journal is not None:
-            self._prior_completed = self.journal.begin(
+            self.journal.begin(
                 self.campaign_id,
                 [(unit["unit_id"], unit["fingerprint"]) for unit in self.units],
                 resume=self.resume,
@@ -487,11 +486,8 @@ class CampaignCoordinator(HttpService):
                 continue
             self.board.mark_completed(unit["unit_id"])
             if self.journal is not None:
-                outcome = (
-                    "resumed" if unit["fingerprint"] in self._prior_completed else "cached"
-                )
                 self.journal.record_unit(
-                    self.campaign_id, unit["fingerprint"], outcome, wall_s=hit.wall_s
+                    self.campaign_id, unit["fingerprint"], cache_hit=True, wall_s=hit.wall_s
                 )
         self._arm_linger_if_done()
 
@@ -693,10 +689,10 @@ class CampaignCoordinator(HttpService):
         Point entries ship as raw file text and are written verbatim
         (if absent) after validation, so the merged store is
         byte-identical to one a single-host run would produce; the
-        result goes through the same normalize/store path
-        ``_execute_cached`` uses, and the journal classifies the unit
-        exactly as a local recompute would (``recomputed`` when a prior
-        run had completed it, ``fresh`` otherwise).
+        result goes through the same normalize/store path a local
+        campaign run uses, and the journal classifies the unit exactly as
+        a local recompute (``recomputed`` when a prior run had completed
+        it, ``fresh`` otherwise).
         """
         for point_fp, text in (payload.get("points") or {}).items():
             if self._write_point(unit_id, point_fp, text):
@@ -708,8 +704,7 @@ class CampaignCoordinator(HttpService):
         self.cache.store(fingerprint, unit_id, self.config, result, wall_s)
         self._results_merged += 1
         if self.journal is not None:
-            outcome = "recomputed" if fingerprint in self._prior_completed else "fresh"
-            self.journal.record_unit(self.campaign_id, fingerprint, outcome, wall_s=wall_s)
+            self.journal.record_unit(self.campaign_id, fingerprint, cache_hit=False, wall_s=wall_s)
 
     def _write_point(self, unit_id: str, point_fp: str, text: str) -> bool:
         """Validate one shipped point entry and write it verbatim if new."""

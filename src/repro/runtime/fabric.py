@@ -40,9 +40,10 @@ Use it as a context manager::
 Entering the context also *activates* the fabric
 (:func:`active_fabric`), so nested campaign calls (``run_campaign``,
 ``run_sweep_campaign``, ``run_fleet_campaign``) adopt the leased pool
-without explicit plumbing — the CLI leases exactly one fabric per
-invocation this way.  Adoption happens only there: the campaign layer
-passes the resolved fabric down, and
+without explicit plumbing — several campaigns then share one pool.
+Without a lease each campaign with ``jobs > 1`` owns one fabric for its
+lifetime.  Both choices are made in one place, the campaign runner
+(:mod:`repro.runtime.campaign`), which passes the resolved fabric down;
 :func:`~repro.runtime.executor.run_tasks` runs on exactly the fabric it
 is given, or serially.
 """
@@ -52,7 +53,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from contextvars import ContextVar
 
 
@@ -179,12 +179,3 @@ def active_fabric() -> WorkerFabric | None:
     """The fabric leased to the current scope, if any."""
     return _ACTIVE_FABRIC.get()
 
-
-@contextmanager
-def fabric_scope(fabric: WorkerFabric):
-    """Activate an existing fabric for a scope without owning its life."""
-    token = _ACTIVE_FABRIC.set(fabric)
-    try:
-        yield fabric
-    finally:
-        _ACTIVE_FABRIC.reset(token)

@@ -162,8 +162,9 @@ class CampaignJournal:
         ``units`` is the ordered ``(unit_id, fingerprint)`` plan.  Without
         ``resume`` the campaign's unit history is wiped (a fresh run owns
         its journal entry); with it, previously completed units survive
-        and their fingerprints are returned so the orchestrator can
-        classify this run's cache hits as resumed work.
+        (their fingerprints are returned), which is how
+        :meth:`record_unit` classifies this run's cache hits as resumed
+        work.
         """
         with self._locked():
             payload = self._read()
@@ -190,22 +191,30 @@ class CampaignJournal:
         self,
         campaign_id: str,
         fingerprint: str,
-        outcome: str,
+        *,
+        cache_hit: bool,
         wall_s: float = 0.0,
     ) -> None:
-        """Mark one unit completed; ``outcome`` updates the run counters.
+        """Mark one unit completed and count its outcome in the run.
 
-        ``outcome`` is one of ``resumed`` / ``recomputed`` / ``fresh`` /
-        ``cached`` (see :class:`ResumeStats`).
+        The outcome follows from the unit's recorded status: under
+        :meth:`begin`'s rules a unit already ``completed`` was completed
+        by an earlier run, so a cache hit on it is ``resumed`` and a
+        recompute ``recomputed``; otherwise the unit is ``cached`` or
+        ``fresh`` (see :class:`ResumeStats`).  The campaign runtime and
+        the distributed coordinator both journal through this one rule.
         """
-        if outcome not in ("resumed", "recomputed", "fresh", "cached"):
-            raise ValueError(f"unknown unit outcome {outcome!r}")
         with self._locked():
             payload = self._read()
             record = payload.setdefault("campaigns", {}).setdefault(
                 campaign_id, {"units": {}, "runs": []}
             )
             unit = record["units"].setdefault(fingerprint, {"unit": fingerprint})
+            prior = unit.get("status") == "completed"
+            if cache_hit:
+                outcome = "resumed" if prior else "cached"
+            else:
+                outcome = "recomputed" if prior else "fresh"
             unit["status"] = "completed"
             unit["outcome"] = outcome
             unit["wall_s"] = round(float(wall_s), 6)

@@ -248,22 +248,6 @@ class PointCache:
             # both observe (and both prune) an externally deleted file.
             self._scan_memo.pop(name, None)
 
-    def iter_entries(self) -> Iterator[PointEntry]:
-        """Parse every valid point file, in sorted-filename order.
-
-        The iteration API index builders consume: corrupt or
-        schema-drifted files are silently skipped (use
-        :func:`read_point_entry` or :meth:`scan` to distinguish them),
-        and the deterministic order makes any first-wins deduplication
-        downstream reproducible across runs.  Rides :meth:`scan`'s
-        mtime/size fast path: files unchanged since the last iteration
-        through this instance are not re-read — and, like ``scan``,
-        yields those as light entries without a measurement payload.
-        """
-        for _path, entry in self.scan():
-            if entry is not None:
-                yield entry
-
 
 def _light_entry(entry: "PointEntry | None") -> "PointEntry | None":
     """The memoized form of a parsed entry: identity kept, payload dropped."""

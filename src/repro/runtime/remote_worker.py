@@ -350,18 +350,28 @@ def _execute_unit(
     raise WorkerError(f"unknown unit kind {unit.get('kind')!r}")
 
 
-def _collect_points(cache: ResultCache, unit_id: str) -> dict[str, str]:
-    """Raw text of every local point entry the unit's scope owns.
+def _collect_points(cache: ResultCache, unit_id: str, config) -> dict[str, str]:
+    """Raw text of every local point entry this unit computed under ``config``.
 
     Shipped verbatim so the coordinator can merge files byte-identical
-    to the worker's (and, by determinism, to a single-host run's).
+    to the worker's (and, by determinism, to a single-host run's).  The
+    scope alone does not identify the unit's points: a worker's cache
+    may hold the same scope measured under another config (another seed,
+    say) or version, so only entries whose fingerprint recomputes under
+    the leased config and this version are shipped.
     """
+    from repro.runtime.hashing import point_fingerprinter
     from repro.runtime.points import PointCache, read_point_entry
 
+    fingerprint_of = point_fingerprinter(config, current_version())
     points: dict[str, str] = {}
     for path in PointCache(cache.point_root).entries():
         entry = read_point_entry(path)
-        if entry is not None and entry.scope == unit_id:
+        if (
+            entry is not None
+            and entry.scope == unit_id
+            and fingerprint_of(unit_id, entry.context) == entry.fingerprint
+        ):
             points[entry.fingerprint] = path.read_text()
     return points
 
@@ -528,7 +538,7 @@ def run_worker(
                             "fingerprint": fingerprint,
                             "wall_s": wall_s,
                             "result": result_to_payload(result),
-                            "points": _collect_points(cache, unit_id),
+                            "points": _collect_points(cache, unit_id, config),
                         }
                     ),
                     "complete",

@@ -138,3 +138,50 @@ class TestCampaign:
         md = render_fleet_markdown(payload)
         for name in POLICY_NAMES:
             assert name in md
+
+
+class _CountingPool:
+    """Counts ``ProcessPoolExecutor`` constructions in the fabric module."""
+
+    def __init__(self, monkeypatch):
+        import repro.runtime.fabric as fabric_module
+
+        self.created = 0
+        base = fabric_module.ProcessPoolExecutor
+        counter = self
+
+        class Counted(base):
+            def __init__(self, *args, **kwargs):
+                counter.created += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fabric_module, "ProcessPoolExecutor", Counted)
+
+
+class TestOnePool:
+    """A fleet campaign's reference sweeps run on the campaign's own pool."""
+
+    SPEC = FleetSpec(benchmark="vggnet", n_boards=12, fleet_seed=11, ref_boards=(0, 1))
+    POLICIES = ("nominal", "per-board-vmin")
+
+    def _run(self, cache, config):
+        return run_fleet_campaign(
+            self.SPEC, self.POLICIES, config, plan=ExecutionPlan(jobs=2), cache=cache
+        )
+
+    def test_owned_fabric_spawns_one_pool(self, fleet_config, tmp_path, monkeypatch):
+        pools = _CountingPool(monkeypatch)
+        outcome = self._run(ResultCache(tmp_path / "cold"), fleet_config)
+        assert outcome.computed == len(outcome.entries)
+        assert pools.created == 1
+
+    def test_leased_fabric_runs_the_reference_sweeps(self, fleet_config, tmp_path, monkeypatch):
+        from repro.runtime.fabric import WorkerFabric
+
+        pools = _CountingPool(monkeypatch)
+        cache = ResultCache(tmp_path / "cold")
+        with WorkerFabric(2, blob_root=cache.blob_root) as lease:
+            outcome = self._run(cache, fleet_config)
+            # One task per reference sweep, then one per fleet unit.
+            assert lease.tasks_dispatched == len(self.SPEC.ref_boards) + len(outcome.entries)
+            assert pools.created == 1 and lease.pools_spawned == 1

@@ -410,6 +410,28 @@ class TestTwoWorkerByteIdentity:
         assert run["completed"] == 2 and run["recomputed"] == 0
 
 
+class TestWorkerShipsOnlyTheLeasedConfig:
+    def test_points_of_another_seed_stay_home(self, tmp_path):
+        """A worker cache that once swept the same unit under another seed
+        ships only the leased config's points, so the merged store stays
+        byte-identical to a single-host run."""
+        worker_cache = ResultCache(tmp_path / "worker")
+        run_sweep_campaign("vggnet", [0], CFG.with_overrides(seed=1), cache=worker_cache)
+        serial_cache = ResultCache(tmp_path / "serial-cache")
+        run_sweep_campaign("vggnet", [0], CFG, cache=serial_cache)
+
+        coordinator, thread, url = _start_coordinator(tmp_path, ["sweep:vggnet:board0"])
+        stats = run_worker(url, worker_cache.root, worker_id="w0")
+        thread.join(timeout=30)
+        assert stats.stopped == "drained" and coordinator.drained
+
+        serial_points = {p.name: p.read_bytes() for p in serial_cache.point_root.glob("*.json")}
+        merged_points = {
+            p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")
+        }
+        assert serial_points and merged_points == serial_points
+
+
 class _OneLeaseClient:
     """Stands in for a coordinator that answers every lease with ``lease``."""
 

@@ -26,7 +26,7 @@ from repro.runtime.campaign import (
     run_sweep_campaign,
 )
 from repro.runtime.executor import auto_chunksize, run_tasks, run_tasks_threaded
-from repro.runtime.fabric import WorkerFabric, active_fabric, fabric_scope, resolve_jobs
+from repro.runtime.fabric import WorkerFabric, active_fabric, resolve_jobs
 from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
 from repro.runtime.plan import ExecutionPlan
 
@@ -83,20 +83,6 @@ class TestLease:
             assert outcomes[0].value != os.getpid()
             assert fabric.pools_spawned == 1
         assert active_fabric() is None
-
-    def test_fabric_scope_does_not_own_the_pool(self):
-        fabric = WorkerFabric(2)
-        try:
-            with fabric_scope(fabric):
-                assert active_fabric() is fabric
-                run_tasks([(_worker_pid, (0,)) for _ in range(2)], fabric=fabric)
-            assert active_fabric() is None
-            assert fabric.pools_spawned == 1
-            # The scope exits without closing: the lease owner decides.
-            run_tasks([(_worker_pid, (0,))], fabric=fabric)
-            assert fabric.pools_spawned == 1
-        finally:
-            fabric.close()
 
     def test_jobs_one_fabric_is_serial(self):
         with WorkerFabric(1) as fabric:

@@ -62,7 +62,7 @@ class TestJournalFile:
         journal = CampaignJournal(tmp_path / "journal.json")
         prior = journal.begin("camp", [("a", "f1"), ("b", "f2")])
         assert prior == set()
-        journal.record_unit("camp", "f1", "fresh", wall_s=1.5)
+        journal.record_unit("camp", "f1", cache_hit=False, wall_s=1.5)
         record = journal.campaign("camp")
         assert record["units"]["f1"]["status"] == "completed"
         assert record["units"]["f2"]["status"] == "planned"
@@ -72,7 +72,7 @@ class TestJournalFile:
     def test_resume_keeps_history_fresh_wipes_it(self, tmp_path):
         journal = CampaignJournal(tmp_path / "journal.json")
         journal.begin("camp", [("a", "f1")])
-        journal.record_unit("camp", "f1", "fresh")
+        journal.record_unit("camp", "f1", cache_hit=False)
         assert journal.begin("camp", [("a", "f1")], resume=True) == {"f1"}
         assert journal.begin("camp", [("a", "f1")], resume=False) == set()
         assert journal.completed_fingerprints("camp") == set()
@@ -84,10 +84,26 @@ class TestJournalFile:
         assert journal.begin("camp", [("a", "f1")]) == set()
         assert json.loads(path.read_text())["campaigns"]["camp"]["units"]
 
-    def test_unknown_outcome_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "resume, cache_hit, outcome",
+        [
+            (True, True, "resumed"),
+            (True, False, "recomputed"),
+            (False, True, "cached"),
+            (False, False, "fresh"),
+        ],
+    )
+    def test_outcome_follows_recorded_status(self, tmp_path, resume, cache_hit, outcome):
+        """A unit completed before this run's ``begin`` survives only a
+        resume; that status alone decides the outcome a record counts."""
         journal = CampaignJournal(tmp_path / "journal.json")
-        with pytest.raises(ValueError):
-            journal.record_unit("camp", "f1", "vanished")
+        journal.begin("camp", [("a", "f1")])
+        journal.record_unit("camp", "f1", cache_hit=False)
+        journal.begin("camp", [("a", "f1")], resume=resume)
+        journal.record_unit("camp", "f1", cache_hit=cache_hit, wall_s=0.5)
+        assert journal.campaign("camp")["units"]["f1"]["outcome"] == outcome
+        run = journal.last_run("camp")
+        assert run[outcome] == 1 and run["completed"] == 1
 
     def test_concurrent_campaigns_do_not_lose_updates(self, tmp_path):
         """Two writers on one journal: the lock serializes whole RMWs.
@@ -108,7 +124,7 @@ class TestJournalFile:
                 campaign_id, [(f"u{i}", f"{campaign_id}-f{i}") for i in range(per_campaign)]
             )
             for i in range(per_campaign):
-                journal.record_unit(campaign_id, f"{campaign_id}-f{i}", "fresh")
+                journal.record_unit(campaign_id, f"{campaign_id}-f{i}", cache_hit=False)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             for future in [pool.submit(hammer, c) for c in ("camp_a", "camp_b")]:
@@ -181,8 +197,8 @@ class TestResumableCampaigns:
         seen = []
         original = journal.record_unit
 
-        def spy(campaign_id, fingerprint, outcome, wall_s=0.0):
-            original(campaign_id, fingerprint, outcome, wall_s=wall_s)
+        def spy(campaign_id, fingerprint, *, cache_hit, wall_s=0.0):
+            original(campaign_id, fingerprint, cache_hit=cache_hit, wall_s=wall_s)
             on_disk = CampaignJournal(journal.path).campaign(campaign_id)
             seen.append(
                 sum(1 for unit in on_disk["units"].values() if unit.get("status") == "completed")

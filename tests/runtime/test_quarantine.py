@@ -174,7 +174,7 @@ class TestJournalQuarantine:
     def test_record_quarantine_is_terminal_and_counted(self, tmp_path):
         journal = CampaignJournal(tmp_path / "journal.json")
         journal.begin("c1", [("u0", "f0"), ("u1", "f1")])
-        journal.record_unit("c1", "f1", "fresh")
+        journal.record_unit("c1", "f1", cache_hit=False)
         journal.record_quarantine("c1", "f0", unit_id="u0", error="Traceback: boom")
         record = journal.campaign("c1")
         assert record["units"]["f0"]["status"] == "quarantined"

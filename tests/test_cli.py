@@ -212,6 +212,27 @@ class TestRuntimeCommands:
         resumed = capsys.readouterr().out
         assert "1 resumed" in resumed and "0 recomputed" in resumed
 
+    def test_parallel_campaign_spawns_one_pool(self, capsys, monkeypatch):
+        """The campaign's runner owns the command's only worker pool."""
+        import repro.runtime.fabric as fabric_module
+
+        created = []
+        base = fabric_module.ProcessPoolExecutor
+
+        class Counted(base):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fabric_module, "ProcessPoolExecutor", Counted)
+        code = main(
+            ["campaign", "table1", "sec41", "--repeats", "1", "--samples", "16",
+             "--jobs", "2", "--no-cache"]
+        )
+        assert code == 0
+        assert "sec41" in capsys.readouterr().out
+        assert created == [2]
+
     def test_resume_requires_cache(self, capsys):
         code = main(["campaign", "sec41", "--no-cache", "--resume"])
         assert code == 2
