@@ -1,8 +1,8 @@
 """Legacy setup shim.
 
-Kept so `pip install -e . --no-build-isolation --no-use-pep517` works on
-offline environments lacking the `wheel` package (PEP 660 editable builds
-require it); all metadata lives in pyproject.toml.
+Kept so `python setup.py develop` installs the package editable on
+offline environments lacking the `wheel` package (pip's editable and
+wheel builds both require it); all metadata lives in pyproject.toml.
 """
 
 from setuptools import setup

@@ -36,8 +36,8 @@ queries as JSON endpoints over an async HTTP plane with admission
 control (``--max-inflight``/``--max-connections``), request coalescing
 (``--coalesce-window``), ETag revalidation, ``/metrics`` counters, JSON
 access logs (``--access-log``), and graceful drain on SIGTERM (see
-:mod:`repro.serve`).  Both accept ``--compute`` to fill misses through
-the campaign executor.
+:mod:`repro.serve`).  Both accept ``--compute`` to measure misses in
+process (the default variant at a free-running fan).
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def _cmd_query(args) -> int:
     from repro.query import open_index, to_json
 
     config = _config_from_args(args)
-    index = open_index(args.cache_dir, config=config, jobs=args.jobs)
+    index = open_index(args.cache_dir, config=config)
     if args.markdown:
         # The markdown report covers landmarks + guardband for the whole
         # (optionally benchmark-filtered) index; skip building a JSON
@@ -513,7 +513,6 @@ def _cmd_serve(args) -> int:
         config=_config_from_args(args),
         allow_compute=args.compute,
         lru_capacity=args.lru_capacity,
-        jobs=args.jobs,
         max_inflight=args.max_inflight,
         max_connections=args.max_connections,
         coalesce_window_s=args.coalesce_window,
@@ -664,16 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_query.add_argument(
         "--compute", action="store_true",
-        help="fill misses by scheduling the missing sweep/point through "
-             "the campaign executor (coalesced)",
+        help="fill misses by measuring the missing sweep/point "
+             "(default variant, free-running fan only)",
     )
     p_query.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR,
         help=f"cache directory holding the point store (default {DEFAULT_CACHE_DIR})",
-    )
-    p_query.add_argument(
-        "--jobs", type=_jobs_arg, default=1,
-        help="worker processes for read-through computes, or 'auto' (default 1)",
     )
     p_query.add_argument(
         "--pretty", action="store_true", help="indent the JSON output"
@@ -842,10 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--lru-capacity", dest="lru_capacity", type=int, default=None,
         help="bound on parsed point payloads held in memory",
-    )
-    p_serve.add_argument(
-        "--jobs", type=_jobs_arg, default=1,
-        help="worker processes for read-through computes, or 'auto' (default 1)",
     )
     from repro.serve import (
         DEFAULT_COALESCE_WINDOW_S,

@@ -27,7 +27,6 @@ from repro.nn.differential import (
     capture_clean_pass,
     fabric_clean_pass_cache,
     forward_points,
-    forward_repeats,
 )
 
 #: Retain the fault-free reference pass across measurements only while its
@@ -132,72 +131,16 @@ class DPUEngine:
         control_collapse: bool = False,
         max_stacked: int | None = None,
     ) -> list[InferenceOutcome]:
-        """Run R fault realizations batched through one shared pass.
+        """Run R fault realizations of one point as one stacked pass.
 
-        Returns one :class:`InferenceOutcome` per realization — realization
-        ``r`` is bit-identical to ``run(p_per_op, f_mhz, rng=rngs[r], ...)``
-        because each realization consumes only its own RNG stream and the
-        copy-on-divergence executor (:mod:`repro.nn.differential`) only
-        skips work that is provably shared with the fault-free pass.
-
-        ``max_stacked`` caps the batched work per pass (inferences, i.e.
-        realizations times evaluation-set size); when ``R * n`` exceeds
-        it, realizations are chunked along the repeat axis and each chunk
-        runs its own pass.  Chunking cannot change results, only peak
-        memory.  The fault-free reference pass is voltage-independent and
-        cached across calls (bounded by :data:`CLEAN_PASS_CACHE_BYTES`),
-        so a sweep pays for it once.
-
-        The performance report is per *inference*, exactly as in
-        :meth:`run`: batching R realizations is a simulator-side trick,
-        not R-fold DPU throughput.
+        A single-spec :meth:`run_points` call: realization ``r`` is
+        bit-identical to ``run(p_per_op, f_mhz, rng=rngs[r], ...)``, and
+        ``max_stacked`` chunks the realizations exactly as it chunks
+        lanes there.
         """
-        perf = self.perf_model.report(f_mhz)
-        if p_per_op <= 0.0 and not control_collapse:
-            return [
-                InferenceOutcome(
-                    accuracy=self.workload.clean_accuracy,
-                    faults_injected=0,
-                    perf=perf,
-                )
-                for _ in rngs
-            ]
-        if not rngs:
-            raise ValueError("faulty runs need an RNG stream per realization")
-        dataset = self.workload.dataset
-        bits = self.workload.quantization.activation_bits
-        clean = self._clean_pass(bits)
-        chunk = len(rngs)
-        if max_stacked is not None and max_stacked >= 1:
-            chunk = max(1, min(chunk, max_stacked // dataset.n))
-        outcomes: list[InferenceOutcome] = []
-        for start in range(0, len(rngs), chunk):
-            chunk_rngs = rngs[start : start + chunk]
-            planner = BatchedFaultInjector(
-                exposure_ops=self.workload.exposure,
-                p_per_op=p_per_op,
-                rngs=chunk_rngs,
-                vulnerability=self.workload.vulnerability,
-                batch_size=dataset.n,
-                control_collapse=control_collapse,
-            )
-            probs = forward_repeats(
-                self.workload.graph,
-                dataset.images,
-                bits,
-                planner,
-                clean=clean,
-            )
-            preds = np.argmax(probs, axis=-1)
-            outcomes.extend(
-                InferenceOutcome(
-                    accuracy=dataset.accuracy_of(preds[i]),
-                    faults_injected=faults,
-                    perf=perf,
-                )
-                for i, faults in enumerate(planner.faults_per_repeat)
-            )
-        return outcomes
+        return self.run_points(
+            [(p_per_op, f_mhz, rngs, control_collapse)], max_stacked=max_stacked
+        )[0]
 
     def run_points(
         self,
@@ -209,7 +152,7 @@ class DPUEngine:
         ``specs`` is one ``(p_per_op, f_mhz, rngs, control_collapse)``
         tuple per point; the return value is one outcome list per spec,
         aligned with the input.  Every outcome is bit-identical to the
-        same realization under :meth:`run` / :meth:`run_batched` — each
+        same realization under :meth:`run` — each
         lane consumes only its own RNG stream, so stacking points changes
         where GEMM batches land, never what any lane computes.
 

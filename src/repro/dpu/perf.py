@@ -52,11 +52,6 @@ class PerformanceReport:
     def compute_fraction(self) -> float:
         return self.compute_s / self.latency_s if self.latency_s else 0.0
 
-    @property
-    def inferences_per_s(self) -> float:
-        """Per-inference throughput (the reciprocal of one-pass latency)."""
-        return 1.0 / self.latency_s if self.latency_s else 0.0
-
 
 class PerformanceModel:
     """Latency and throughput for one compiled model on one deployment."""

@@ -313,8 +313,3 @@ class BatchedFaultInjector:
         if hit:
             self.stats.layers_hit += 1
         return plans
-
-
-def null_injector() -> None:
-    """Sentinel for fault-free runs (no hook installed at all)."""
-    return None

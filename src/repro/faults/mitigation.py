@@ -192,14 +192,17 @@ class MitigatedSession:
         if collapse or p_residual >= p_raw or p_raw == 0.0:
             accuracy = raw.accuracy
         else:
-            accuracies = []
-            for r in range(raw.repeats):
-                rng = self.session._seeds.rng(
+            rngs = [
+                self.session._seeds.rng(
                     f"mitigated/{self.policy.name}/v{vccint_mv:.1f}/f{f_mhz:.0f}/r{r}"
                 )
-                outcome = self.session.engine.run(p_residual, f_mhz, rng=rng)
-                accuracies.append(outcome.accuracy)
-            accuracy = sum(accuracies) / len(accuracies)
+                for r in range(raw.repeats)
+            ]
+            (outcomes,) = self.session.engine.run_points(
+                [(p_residual, f_mhz, rngs, False)],
+                max_stacked=self.session.config.batch_budget,
+            )
+            accuracy = sum(outcome.accuracy for outcome in outcomes) / len(outcomes)
 
         return MitigatedMeasurement(
             raw=raw,

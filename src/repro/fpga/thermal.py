@@ -110,12 +110,3 @@ class ThermalPlant:
     @property
     def die_temperature_c(self) -> float:
         return self._die_c
-
-    @property
-    def temperature_range_c(self) -> tuple[float, float]:
-        """Reachable die-temperature window at the calibration power level."""
-        p = self.cal.p_total_vnom
-        return (
-            self.ambient_c + self.fan.r_min_c_per_w * p,
-            self.ambient_c + self.fan.r_max_c_per_w * p,
-        )

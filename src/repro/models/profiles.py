@@ -49,8 +49,3 @@ def profile_for(name: str) -> WorkloadProfile:
         raise KeyError(
             f"no workload profile for {name!r}; known: {sorted(PROFILES)}"
         ) from None
-
-
-def fleet_average_power_w() -> float:
-    """Average Vnom power across the benchmark suite (should be 12.59 W)."""
-    return sum(p.p_vnom_w for p in PROFILES.values()) / len(PROFILES)

@@ -58,10 +58,6 @@ class QuantFormat:
     def max_real(self) -> float:
         return self.qmax * self.scale
 
-    @property
-    def min_real(self) -> float:
-        return self.qmin * self.scale
-
     def __str__(self) -> str:
         return f"INT{self.bits}(Q{self.bits - 1 - self.frac_bits}.{self.frac_bits})"
 

@@ -18,9 +18,12 @@ Typical use::
     index.stats()                            # service counters
 
 On a miss the index can *compute through* — ``landmarks(...,
-compute=True)`` schedules the missing sweep on the campaign executor
+compute=True)`` runs the missing sweep in the calling thread
 (concurrent requests for the same work coalesce into one computation)
 and every measured point lands in the shared store for the next reader.
+Compute fills only the benchmark's default variant at a free-running
+fan; asking it for another variant or a temperature setpoint raises
+``ValueError``.
 The same index instance backs the HTTP service (:mod:`repro.serve`).
 """
 
@@ -31,7 +34,6 @@ from repro.runtime.query import (
     DatasetKey,
     MeasurementLRU,
     RequestCoalescer,
-    default_variant,
     open_index,
     to_json,
 )
@@ -43,7 +45,6 @@ __all__ = [
     "DatasetKey",
     "MeasurementLRU",
     "RequestCoalescer",
-    "default_variant",
     "open_index",
     "to_json",
 ]

@@ -648,61 +648,25 @@ def fleet_unit_id(spec, policy: str, lo: int, hi: int) -> str:
     return f"fleet:{spec.benchmark}:{spec.digest()}:{policy}:boards{lo}-{hi}"
 
 
-#: Worker-side reference-curve memo: warm fabric workers simulate many
-#: chunks of the same fleet, and the curves are a pure function of the
-#: key, so one index scan per worker serves the whole campaign.
-_FLEET_CURVE_MEMO: dict = {}
-
-
-def _fleet_curves(
-    benchmark: str,
-    ref_boards: tuple[int, ...],
-    config: ExperimentConfig,
-    cache_dir: str,
-) -> dict:
-    """Reference curves for ``ref_boards`` from the characterization store."""
-    from repro.fleet.policy import RefCurve
-    from repro.runtime.query import open_index
-
-    key = (
-        str(cache_dir),
-        config_fingerprint("fleet-curves", config),
-        benchmark,
-        tuple(ref_boards),
-    )
-    curves = _FLEET_CURVE_MEMO.get(key)
-    if curves is None:
-        index = open_index(cache_dir, config=config)
-        try:
-            curves = {
-                ref: RefCurve.from_index(index, benchmark, ref)
-                for ref in ref_boards
-            }
-        finally:
-            index.close()
-        _FLEET_CURVE_MEMO[key] = curves
-    return curves
-
-
 def run_fleet_unit(
     spec,
     policy_name: str,
     lo: int,
     hi: int,
     config: ExperimentConfig,
-    cache_dir: str,
+    curves: dict,
     prep,
 ) -> ExperimentResult:
     """One fleet work unit: boards ``[lo, hi)`` under one policy.
 
     Runs anywhere a sweep unit runs — in-process, in a pool, or on a warm
-    fabric worker — and is a pure function of its arguments plus the
-    characterization datasets the parent campaign ensured exist.
+    fabric worker — and is a pure function of its arguments: the parent
+    campaign hands it the reference ``curves`` it read from the store,
+    so a worker never opens the store.
     """
     from repro.fleet.boards import mint_fleet
     from repro.fleet.simulator import simulate_fleet
 
-    curves = _fleet_curves(spec.benchmark, spec.ref_boards, config, cache_dir)
     boards = mint_fleet(spec, cal=config.cal)
     rows = simulate_fleet(spec, boards, curves, prep, policy_name, (lo, hi))
     return ExperimentResult(
@@ -731,13 +695,15 @@ def run_fleet_campaign(
     cache hit and ``--resume`` skips completed chunks.  Before sharding,
     the parent sweeps the reference boards (cache hits when already
     characterized; otherwise one sweep campaign on this campaign's own
-    fabric) and computes the fleet-wide policy constants once, so
-    workers only ever *read* the store.
+    fabric), reads their curves and computes the fleet-wide policy
+    constants once, and ships both with every unit, so workers never
+    open the store.
 
     ``policies`` defaults to every shipped policy, in canonical order.
     """
     from repro.fleet.boards import mint_fleet
-    from repro.fleet.policy import POLICY_NAMES, prepare_policies
+    from repro.fleet.policy import POLICY_NAMES, RefCurve, prepare_policies
+    from repro.runtime.query import open_index
 
     policies = tuple(policies) if policies else POLICY_NAMES
     with _CampaignRun(config, plan, cache, fabric) as run:
@@ -747,16 +713,16 @@ def run_fleet_campaign(
                 "reference curves from the characterization store"
             )
         config = run.config
-        cache_dir = str(run.cache.root)
         run_sweep_campaign(
             spec.benchmark, spec.ref_boards, config, run.plan, cache=run.cache, fabric=run.fabric
         )
-        curves = _fleet_curves(spec.benchmark, spec.ref_boards, config, cache_dir)
+        index = open_index(run.cache.root, config=config)
+        curves = {ref: RefCurve.from_index(index, spec.benchmark, ref) for ref in spec.ref_boards}
         boards = mint_fleet(spec, cal=config.cal)
         prep = prepare_policies(spec, boards, curves, policies, config)
 
         def request_for(policy: str, lo: int, hi: int) -> _Request:
-            task = (run_fleet_unit, (spec, policy, lo, hi, config, cache_dir, prep))
+            task = (run_fleet_unit, (spec, policy, lo, hi, config, curves, prep))
             return fleet_unit_id(spec, policy, lo, hi), lambda: [task], lambda results: results[0]
 
         requests = [

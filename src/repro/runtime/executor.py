@@ -159,7 +159,6 @@ def _run_on_fabric(
     tasks: Sequence[Task],
     fabric: WorkerFabric,
     on_complete: CompletionHook | None,
-    chunksize: int | None,
 ) -> list[TaskOutcome]:
     """One round on a leased pool (spawned lazily, never shut down here)."""
     pool = fabric.acquire_pool()
@@ -167,8 +166,7 @@ def _run_on_fabric(
         worker = "serial" if fabric.jobs <= 1 else "serial-fallback"
         return _run_serial(tasks, worker, on_complete)
     outcomes: list[TaskOutcome | None] = [None] * len(tasks)
-    if chunksize is None:
-        chunksize = auto_chunksize(len(tasks), fabric.jobs)
+    chunksize = auto_chunksize(len(tasks), fabric.jobs)
     try:
         _drain_pool(pool, tasks, outcomes, on_complete, chunksize)
         fabric.note_dispatched(len(tasks))
@@ -226,18 +224,17 @@ def run_tasks(
     *,
     on_complete: CompletionHook | None = None,
     fabric: WorkerFabric | None = None,
-    chunksize: int | None = None,
 ) -> list[TaskOutcome]:
     """Run every task, returning outcomes in input order.
 
     With a ``fabric`` the tasks run on its leased pool (any task count —
-    even a single dispatched probe reaches the warm workers); without
-    one they run serially in-process, even inside an active lease.
-    ``chunksize`` overrides :func:`auto_chunksize` on the pool path.
+    even a single dispatched probe reaches the warm workers), chunked by
+    :func:`auto_chunksize`; without one they run serially in-process,
+    even inside an active lease.
     """
     tasks = list(tasks)
     if not tasks:
         return []
     if fabric is None:
         return _run_serial(tasks, "serial", on_complete)
-    return _run_on_fabric(tasks, fabric, on_complete, chunksize)
+    return _run_on_fabric(tasks, fabric, on_complete)

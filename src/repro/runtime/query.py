@@ -36,14 +36,14 @@ Three properties make it a service rather than a file reader:
    (:class:`MeasurementLRU`); evicted payloads are re-read from disk on
    demand, so a million-point store serves from a fixed memory budget.
 3. **Read-through compute with request coalescing.**  On a miss the
-   index can *schedule* the missing work through the existing campaign
-   executor — a full sweep via
-   :func:`~repro.runtime.campaign.run_sweep_campaign` or a single
+   index can run the missing work in the calling thread — a full sweep
+   via :func:`~repro.runtime.campaign.run_sweep_campaign` or a single
    voltage point as a one-point sweep round
    (:func:`~repro.runtime.campaign.measure_round_task`) — and a
    :class:`RequestCoalescer` guarantees that N concurrent requests for
    one missing key trigger exactly one computation; the other N-1 block
-   on the leader's result.
+   on the leader's result.  Compute fills only what a sweep measures:
+   the benchmark's default variant at a free-running fan.
 
 The index is thread-safe (one instance serves :mod:`repro.serve`'s
 asyncio plane from its worker-thread pool) and all query payloads are
@@ -267,10 +267,10 @@ class CharacterizationIndex:
 
     Construction scans ``<cache_dir>/points/`` (see :meth:`refresh`);
     queries are answered from the in-memory index + LRU, and — when
-    ``compute`` is requested — misses are filled by scheduling work
-    through the campaign executor with request coalescing.  One instance
-    is safe to share across threads; :mod:`repro.serve` serves it from a
-    ``ThreadingHTTPServer``.
+    ``compute`` is requested — misses are measured in the calling thread
+    with request coalescing.  One instance is safe to share across
+    threads; :mod:`repro.serve` serves it from its asyncio plane's
+    worker threads.
 
     The index answers under exactly one ``(config, version)``: points
     whose fingerprint does not match the index's own config are counted
@@ -282,17 +282,11 @@ class CharacterizationIndex:
         cache_dir: str | Path,
         config: ExperimentConfig | None = None,
         lru_capacity: int = DEFAULT_LRU_CAPACITY,
-        jobs: int = 1,
     ):
         self.cache_dir = Path(cache_dir)
         self.config = config or ExperimentConfig()
-        self.jobs = max(1, int(jobs))
         self._cache = ResultCache(self.cache_dir)
         self._points = PointCache(self._cache.point_root)
-        #: Lazily leased worker fabric for read-through computes: one
-        #: persistent pool (and its warm model/clean-pass state) serves
-        #: every miss this index ever fills, instead of a pool per miss.
-        self._fabric = None
         self._lru = MeasurementLRU(lru_capacity)
         self._coalescer = RequestCoalescer()
         self._lock = threading.Lock()
@@ -525,9 +519,11 @@ class CharacterizationIndex:
         alive point and its distance; ``'interpolate'`` linearly blends
         the two bracketing alive points' accuracy/power/performance
         fields (falling back to the nearest edge outside the measured
-        range).  With ``compute=True`` an exact miss is measured through
-        the campaign executor first (coalesced; see
-        :meth:`ensure_point`) instead of raising ``KeyError``.
+        range).  With ``compute=True`` an exact miss is measured first
+        (coalesced; see :meth:`ensure_point`) instead of raising
+        ``KeyError``; a miss that asks for another variant or a
+        temperature setpoint raises ``ValueError`` instead, because a
+        measured point has the default variant and a free-running fan.
         """
         if mode not in ("exact", "nearest", "interpolate"):
             raise ValueError(f"unknown point mode {mode!r}")
@@ -538,6 +534,7 @@ class CharacterizationIndex:
         except KeyError:
             if not (compute and mode == "exact"):
                 raise
+            _check_computable(benchmark, variant, t_setpoint_c)
             self.ensure_point(benchmark, v_mv, board=board, f_mhz=f_mhz)
             dataset = self._one_dataset(benchmark, variant, board, f_mhz, t_setpoint_c)
             row = self._point_from(dataset, v_mv, mode)
@@ -610,8 +607,10 @@ class CharacterizationIndex:
         Rows are memoized until the next :meth:`refresh`.
 
         With ``compute=True`` and a *specific* (benchmark, board) that
-        has no usable dataset, the missing sweep is scheduled through
-        the campaign executor first (:meth:`ensure_sweep`, coalesced).
+        has no usable dataset, the missing sweep runs first
+        (:meth:`ensure_sweep`, coalesced); a ``variant`` other than the
+        benchmark's default raises ``ValueError`` instead, because the
+        sweep could not produce it.
         """
         computed = False
         if compute and benchmark is not None and board is not None:
@@ -620,6 +619,7 @@ class CharacterizationIndex:
                 k for k in keys if self._landmarks_for(k).get("complete")
             ]
             if not usable:
+                _check_computable(benchmark, variant, None)
                 self.ensure_sweep(benchmark, board)
                 computed = True
         keys = self.dataset_keys(benchmark=benchmark, variant=variant, board=board)
@@ -734,57 +734,28 @@ class CharacterizationIndex:
     # Read-through compute (coalesced)
     # ------------------------------------------------------------------
 
-    def _compute_fabric(self):
-        """The index's leased fabric (spawned on first compute), if any.
-
-        Created under the index lock: concurrent first misses for
-        *different* keys (which the coalescer deliberately does not
-        collapse) must share one fabric, not leak one pool each.
-        """
-        if self.jobs <= 1:
-            return None
-        from repro.runtime.fabric import WorkerFabric
-
-        with self._lock:
-            if self._fabric is None:
-                self._fabric = WorkerFabric(self.jobs, blob_root=self._cache.blob_root)
-            return self._fabric
-
     def close(self) -> None:
-        """Release the compute fabric's pool (idempotent).
+        """Release nothing: the index holds no pool or open file.
 
-        Queries served from the index need no resources; only an index
-        that has computed misses with ``jobs > 1`` holds worker
-        processes, and long-lived embedders (the HTTP server, tests)
-        should release them deterministically rather than at GC time.
+        Kept so embedders (the HTTP server, tests) can close every index
+        they open without knowing that.
         """
-        fabric, self._fabric = self._fabric, None
-        if fabric is not None:
-            fabric.close()
 
     def ensure_sweep(self, benchmark: str, board: int):
         """Make sure (benchmark, board) has a full sweep's points.
 
-        Schedules one board sweep through the campaign executor
-        (:func:`~repro.runtime.campaign.run_sweep_campaign`, which also
-        populates the result cache and the point store) and rescans the
-        index.  Concurrent calls for the same (benchmark, board)
-        coalesce into one computation.
+        Runs one board sweep in the calling thread
+        (:func:`~repro.runtime.campaign.run_sweep_campaign` on the
+        default plan, which also populates the result cache and the point
+        store) and rescans the index.  Concurrent calls for the same
+        (benchmark, board) coalesce into one computation.
         """
         from repro.runtime.campaign import run_sweep_campaign
-        from repro.runtime.plan import ExecutionPlan
 
         key = ("sweep", benchmark, int(board))
 
         def compute():
-            outcome = run_sweep_campaign(
-                benchmark,
-                [int(board)],
-                self.config,
-                ExecutionPlan(jobs=self.jobs),
-                cache=self._cache,
-                fabric=self._compute_fabric(),
-            )
+            outcome = run_sweep_campaign(benchmark, [int(board)], self.config, cache=self._cache)
             self.refresh()
             return outcome
 
@@ -803,22 +774,21 @@ class CharacterizationIndex:
     ) -> bool:
         """Make sure one voltage point is measured; ``True`` = alive.
 
-        The measurement runs as a one-point sweep round
-        (:func:`~repro.runtime.campaign.measure_round_task`) through the
-        campaign executor, under the same point scope a ``repro sweep``
-        of the pair would use, so the stored entry (a hang included) is
-        shared with sweep campaigns and a point already in the store is
-        replayed, not recomputed.  Concurrent calls for the same point
-        coalesce into one computation.
+        The measurement runs in the calling thread as a one-point sweep
+        round (:func:`~repro.runtime.campaign.measure_round_task`), under
+        the same point scope a ``repro sweep`` of the pair would use, so
+        the stored entry (a hang included) is shared with sweep campaigns
+        and a point already in the store is replayed, not recomputed.
+        Concurrent calls for the same point coalesce into one
+        computation.
         """
         from repro.runtime.campaign import measure_round_task, sweep_unit_id
-        from repro.runtime.executor import run_tasks
 
         v_mv = round(float(vccint_mv), 4)
         key = ("point", benchmark, int(board), v_mv, f_mhz)
 
         def compute():
-            task_args = (
+            ((_index, kind, _measurement),) = measure_round_task(
                 benchmark,
                 int(board),
                 ((0, v_mv, "measure"),),
@@ -828,9 +798,7 @@ class CharacterizationIndex:
                 sweep_unit_id(benchmark, int(board)),
                 str(self._cache.blob_root),
             )
-            outcomes = run_tasks([(measure_round_task, task_args)], fabric=self._compute_fabric())
             self.refresh()
-            ((_index, kind, _measurement),) = outcomes[0].value
             return kind != "hang"
 
         alive, led = self._coalescer.run(key, compute)
@@ -891,26 +859,25 @@ def open_index(
     """Build a :class:`CharacterizationIndex` over one cache directory.
 
     Thin convenience for the public API (``repro.query``): accepts the
-    same keyword arguments as the class (``lru_capacity``, ``jobs``).
+    same keyword arguments as the class (``lru_capacity``).
     """
     return CharacterizationIndex(cache_dir, config=config, **kwargs)
 
 
-def default_variant(benchmark: str, config: ExperimentConfig) -> str:
-    """The variant label a plain (unquantized-override) build produces.
+def _check_computable(benchmark: str, variant: str | None, t_setpoint_c: float | None) -> None:
+    """Refuse a read-through compute that could not fill the query.
 
-    Queries key datasets by the workload *variant label* (e.g.
-    ``vggnet@int8``); CLI users usually know only the benchmark name.
+    A computed sweep or point runs the benchmark's default variant at a
+    free-running fan; for any other variant or a temperature setpoint
+    it would measure the wrong dataset and the query would still miss.
     """
-    from repro.models.zoo import build as build_workload
+    from repro.models.zoo import default_variant_label
 
-    workload = build_workload(
-        benchmark,
-        samples=config.samples,
-        width_scale=config.width_scale,
-        seed=config.seed,
-    )
-    return workload.variant_label
+    default = default_variant_label(benchmark)
+    if variant is not None and variant != default:
+        raise ValueError(f"compute fills only the default variant {default!r}, not {variant!r}")
+    if t_setpoint_c is not None:
+        raise ValueError("compute fills only free-running points, not a temperature setpoint")
 
 
 __all__: Sequence[str] = [
@@ -919,7 +886,6 @@ __all__: Sequence[str] = [
     "MeasurementLRU",
     "PointRef",
     "RequestCoalescer",
-    "default_variant",
     "open_index",
     "to_json",
     "DEFAULT_LRU_CAPACITY",

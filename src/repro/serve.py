@@ -61,7 +61,7 @@ a read into a multi-minute sweep.  Start the server with
 ``compute=True`` (CLI: ``--compute``) to allow clients to opt in per
 request via ``&compute=1``; coalescing — here *and* in the index —
 guarantees N concurrent requests for one missing sweep trigger exactly
-one computation.
+one computation, which runs on the request's worker thread.
 """
 
 from __future__ import annotations
@@ -408,7 +408,7 @@ class AsyncCharacterizationServer(HttpService):
         return "shutting down: drained in-flight requests, access log flushed"
 
     def server_close(self) -> None:
-        """Release the index's resources (idempotent; after shutdown)."""
+        """Close the index (it holds nothing to release; idempotent)."""
         self.index.close()
 
     # ------------------------------------------------------------------
@@ -501,7 +501,6 @@ def make_server(
     config: ExperimentConfig | None = None,
     allow_compute: bool = False,
     lru_capacity: int | None = None,
-    jobs: int = 1,
     quiet: bool = False,
     **server_kwargs,
 ) -> AsyncCharacterizationServer:
@@ -514,7 +513,7 @@ def make_server(
     ``drain_timeout_s``, ``precompute``) pass through to
     :class:`AsyncCharacterizationServer`.
     """
-    kwargs: dict = {"config": config, "jobs": jobs}
+    kwargs: dict = {"config": config}
     if lru_capacity is not None:
         kwargs["lru_capacity"] = lru_capacity
     index = CharacterizationIndex(cache_dir, **kwargs)

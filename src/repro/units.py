@@ -42,11 +42,6 @@ def ns(seconds: float) -> float:
     return seconds * 1e9
 
 
-def from_ns(nanoseconds: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return nanoseconds * 1e-9
-
-
 def clamp(value: float, low: float, high: float) -> float:
     """Clamp ``value`` into the inclusive range ``[low, high]``."""
     if low > high:

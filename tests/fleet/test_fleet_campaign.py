@@ -185,3 +185,32 @@ class TestOnePool:
             # One task per reference sweep, then one per fleet unit.
             assert lease.tasks_dispatched == len(self.SPEC.ref_boards) + len(outcome.entries)
             assert pools.created == 1 and lease.pools_spawned == 1
+
+
+class TestUnitsNeedNoStore:
+    """A fleet unit computes from its arguments alone: no store, no index."""
+
+    def test_unit_rows_match_the_campaign_without_a_store(
+        self, fleet_store, fleet_config, ref_curves, tmp_path, monkeypatch
+    ):
+        import repro.runtime.query as query_module
+        from repro.fleet.boards import mint_fleet
+        from repro.fleet.policy import prepare_policies
+        from repro.runtime.campaign import run_fleet_unit
+
+        cache_dir = tmp_path / "store"
+        shutil.copytree(fleet_store.root, cache_dir)
+        outcome = run_fleet_campaign(SPEC, POLICIES, fleet_config, cache=ResultCache(cache_dir))
+        shutil.rmtree(cache_dir)
+
+        def no_index(*args, **kwargs):
+            raise AssertionError("a fleet unit opened the characterization index")
+
+        monkeypatch.setattr(query_module, "CharacterizationIndex", no_index)
+        boards = mint_fleet(SPEC, cal=fleet_config.cal)
+        prep = prepare_policies(SPEC, boards, ref_curves, POLICIES, fleet_config)
+        for policy in POLICIES:
+            for lo, hi in fleet_chunks(SPEC.n_boards):
+                unit = run_fleet_unit(SPEC, policy, lo, hi, fleet_config, ref_curves, prep)
+                expected = outcome.entry(fleet_unit_id(SPEC, policy, lo, hi)).result
+                assert to_json(unit.rows) == to_json(expected.rows)

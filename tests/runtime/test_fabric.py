@@ -125,16 +125,17 @@ class TestChunking:
             assert index not in seen, "duplicate completion callback"
             seen[index] = outcome.value
 
+        n_tasks = 40
+        assert auto_chunksize(n_tasks, 2) > 1  # the round below ships in chunks
         with WorkerFabric(2) as fabric:
             outcomes = run_tasks(
-                [(pow, (2, i)) for i in range(11)],
+                [(pow, (2, i)) for i in range(n_tasks)],
                 fabric=fabric,
                 on_complete=on_complete,
-                chunksize=3,
             )
             assert fabric.pools_spawned == 1
-        assert [o.value for o in outcomes] == [2**i for i in range(11)]
-        assert seen == {i: 2**i for i in range(11)}
+        assert [o.value for o in outcomes] == [2**i for i in range(n_tasks)]
+        assert seen == {i: 2**i for i in range(n_tasks)}
         assert all(o.worker == "pool" for o in outcomes)
 
 

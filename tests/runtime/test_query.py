@@ -292,6 +292,51 @@ class TestReadThrough:
         assert row["hang"] is False
         assert idx.computed_points == 1
 
+    def test_compute_runs_in_the_calling_thread(self, tmp_path, monkeypatch):
+        from repro.runtime.fabric import WorkerFabric
+
+        def no_fabric(*args, **kwargs):
+            raise AssertionError("a read-through compute built a worker fabric")
+
+        monkeypatch.setattr(WorkerFabric, "__init__", no_fabric)
+        idx = CharacterizationIndex(tmp_path, config=CONFIG)
+        row = idx.point("vggnet", 850.0, variant="vggnet-int8", board=0, compute=True)
+        assert row["hang"] is False and row["variant"] == "vggnet-int8"
+
+
+class TestComputeRefusesWhatItCannotFill:
+    """Compute measures the default variant at a free-running fan, nothing else.
+
+    Computing any of these queries would measure the wrong dataset, store
+    it, and still miss.
+    """
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda idx: idx.point("vggnet", 850.0, variant="vggnet-int4", compute=True),
+            lambda idx: idx.point("vggnet", 850.0, t_setpoint_c=60.0, compute=True),
+            lambda idx: idx.landmarks("vggnet", variant="vggnet-int4", board=1, compute=True),
+        ],
+        ids=["point-variant", "point-setpoint", "landmarks-variant"],
+    )
+    def test_refused_before_anything_runs(self, tmp_path, monkeypatch, query):
+        runs = []
+        for name in ("run_sweep_unit", "measure_round_task"):
+            real = getattr(campaign_mod, name)
+
+            def counting(*args, _real=real, **kwargs):
+                runs.append(args[:2])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(campaign_mod, name, counting)
+        idx = CharacterizationIndex(tmp_path, config=CONFIG)
+        with pytest.raises(ValueError, match="compute fills only"):
+            query(idx)
+        assert runs == []
+        assert PointCache(idx.cache_dir / "points").entries() == []
+        assert idx.computed_points == idx.computed_sweeps == 0
+
 
 class TestCoalescing:
     def test_coalescer_runs_one_computation_for_n_waiters(self):

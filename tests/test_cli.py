@@ -112,8 +112,6 @@ class TestConfigFlags:
             ["run", "sec41"],
             ["sweep", "vggnet"],
             ["campaign", "tables"],
-            ["query", "stats"],
-            ["serve"],
         ):
             args = parser.parse_args(argv + ["--jobs", "auto"])
             assert args.jobs == (os.cpu_count() or 1)
@@ -325,6 +323,17 @@ class TestQueryCommand:
         assert code == 1
         out = capsys.readouterr().out
         assert out.startswith("error: no indexed dataset")
+
+    def test_query_compute_of_another_variant_is_a_clean_error(self, tmp_path, capsys):
+        code = main(
+            ["query", "points", "--benchmark", "vggnet", "--board", "0",
+             "--v-mv", "850", "--variant", "vggnet-int4", "--compute",
+             "--repeats", "1", "--samples", "8",
+             "--cache-dir", str(tmp_path / "cold")]
+        )
+        assert code == 1
+        assert capsys.readouterr().out.startswith("error: compute fills only")
+        assert not (tmp_path / "cold" / "points").exists()
 
     def test_query_markdown_skips_the_json_payload_path(self, tmp_path, capsys):
         # 'points' + --markdown must not require --v-mv/--benchmark plumbing:

@@ -89,6 +89,25 @@ class TestSurface:
     def test_version_is_pep440ish(self):
         assert repro.__version__.count(".") == 2
 
+    def test_pyproject_declares_the_package(self):
+        """``pip install -e .`` gets its name, version, dependency and
+        entry point from pyproject.toml, which must match the package."""
+        import pathlib
+
+        from repro.cli import main
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+
+        root = pathlib.Path(repro.__file__).resolve().parents[2]
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        project = meta["project"]
+        assert project["name"] == "repro-undervolt"
+        assert project["dependencies"] == ["numpy"]
+        assert project["scripts"] == {"repro-undervolt": "repro.cli:main"} and callable(main)
+        setuptools = meta["tool"]["setuptools"]
+        assert setuptools["dynamic"]["version"] == {"attr": "repro.version.__version__"}
+        assert setuptools["packages"]["find"]["where"] == ["src"]
+
     def test_top_level_exports(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
