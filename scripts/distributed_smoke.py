@@ -12,8 +12,9 @@ distributed result to the single-host bar:
    completes it — a guaranteed dead worker holding a live lease — then
    worker "doomed" starts draining and is SIGKILLed after its first
    completed unit;
-4. worker "rescuer" starts, waits out the dead leases' TTL, and drains
-   the rest; the coordinator exits 0 (drained);
+4. worker "rescuer" starts with ``--jobs 2``, waits out the dead
+   leases' TTL, and drains the rest on its own worker pool; the
+   coordinator exits 0 (drained);
 5. the merged point store is byte-for-byte identical to the
    single-host reference store, warm reports rendered from the two
    caches are byte-identical, and the coordinator's journal recorded
@@ -172,6 +173,8 @@ def main() -> int:
         "0.1",
         "--id",
         "rescuer",
+        "--jobs",
+        "2",
     )
     if coordinator.wait(timeout=300) != 0:
         print(coordinator.stdout.read())

@@ -33,17 +33,17 @@ embarrassingly parallel, cache-friendly workload:
 * :mod:`repro.runtime.campaign` — the orchestrator gluing the above
   together, plus the named campaign sets the CLI exposes.
 * :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, the one frozen,
-  wire-serializable description of *how* a campaign executes (jobs,
-  dispatch, batching budgets, cache dir); execution knobs never move
-  fingerprints.
+  wire-serializable description of *how* a campaign executes (jobs and
+  sweep dispatch); execution knobs never move fingerprints.
 * :mod:`repro.runtime.wire` — the shared HTTP dialect (canonical-JSON
   bodies, strong ETags, structured access logs, request framing) both
   asyncio services speak.
 * :mod:`repro.runtime.coordinator` / :mod:`repro.runtime.remote_worker`
   — the distributed campaign fabric: an HTTP work-lease coordinator
-  serving unfinished units to blob-syncing remote workers, with lease
-  expiry and re-lease so dead workers degrade to "that unit runs
-  elsewhere"; merged stores are byte-identical to a single-host run.
+  serving unfinished units to blob-syncing remote workers, which run
+  each leased unit as a one-unit campaign, with lease expiry and
+  re-lease so dead workers degrade to "that unit runs elsewhere";
+  merged stores are byte-identical to a single-host run.
 * :mod:`repro.runtime.resilience` — the transport's fault-tolerance
   primitives: :class:`RetryPolicy` (capped exponential backoff with
   deterministic named-RNG jitter), per-endpoint circuit breakers, and

@@ -47,18 +47,19 @@ def _dumps(payload) -> str:
     return json.dumps(payload, default=_jsonable)
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path, text: str | bytes) -> None:
     """Crash-safe file replace: write a sibling temp file, then rename.
 
-    The one write primitive all three on-disk stores share (experiment
-    entries, voltage points, the campaign journal): a reader never sees a
-    torn file, and a crash mid-write leaves the previous content intact —
-    the property the resume machinery is built on.
+    The one write primitive the on-disk stores share (experiment entries,
+    voltage points, the campaign journal, blobs a worker syncs): a reader
+    never sees a torn file, and a crash mid-write leaves the previous
+    content intact — the property the resume machinery is built on.
+    ``bytes`` are written verbatim, ``str`` as text.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:

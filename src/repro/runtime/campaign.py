@@ -29,8 +29,8 @@ recomputes only work that never finished.
 All three campaign kinds — registry experiments (``run_campaign``),
 board sweeps (``run_sweep_campaign``) and fleets
 (``run_fleet_campaign``) — only build their requests; one
-:class:`_CampaignRun` resolves the plan, cache and worker fabric and
-executes them, so a campaign runs on one pool however many rounds (or
+:class:`_CampaignRun` resolves the plan and worker fabric and executes
+them, so a campaign runs on one pool however many rounds (or
 nested reference sweeps) it dispatches.
 
 The returned :class:`CampaignOutcome` keeps per-experiment provenance
@@ -194,14 +194,14 @@ class _PendingUnit:
 class _CampaignRun:
     """One campaign's execution context, resolved once.
 
-    The plan (default when ``None``) is applied to the config, ``jobs``
-    resolved, the cache opened from ``plan.cache_dir`` when none is
-    attached, and the worker fabric chosen: the one passed in, else the
-    scope's active lease (:func:`~repro.runtime.fabric.active_fabric`),
-    else — with ``jobs > 1`` — a fabric this run owns and closes on
-    exit.  With one job and no lease everything stays serial.  This is
-    the one place a campaign decides who owns the pool; a campaign that
-    runs another (a fleet's reference sweeps) hands it ``run.fabric``.
+    The plan (default when ``None``) has its ``jobs`` resolved and the
+    worker fabric is chosen: the one passed in, else the scope's active
+    lease (:func:`~repro.runtime.fabric.active_fabric`), else — with
+    ``jobs > 1`` — a fabric this run owns and closes on exit.  With one
+    job and no lease everything stays serial.  This is the one place a
+    campaign decides who owns the pool; a campaign that runs another (a
+    fleet's reference sweeps, a remote worker's leased units) hands it
+    its fabric.
     """
 
     def __init__(
@@ -212,10 +212,8 @@ class _CampaignRun:
         fabric: WorkerFabric | None,
     ):
         self.plan = plan or ExecutionPlan()
-        self.config = self.plan.apply_to(config or ExperimentConfig())
+        self.config = config or ExperimentConfig()
         self.jobs = self.plan.resolved_jobs()
-        if cache is None and self.plan.cache_dir is not None:
-            cache = ResultCache(self.plan.cache_dir)
         self.cache = cache
         self.point_root = str(cache.point_root) if cache is not None else None
         self.blob_root = str(cache.blob_root) if cache is not None else None
@@ -354,9 +352,9 @@ def run_campaign(
     """Run a set of experiments, reusing cached results where possible.
 
     ``plan`` is the one description of *how* to execute
-    (:class:`~repro.runtime.plan.ExecutionPlan`: worker count, batching
-    budgets, cache directory; its ``dispatch`` field is sweep-only and
-    ignored here); ``None`` means the default plan.
+    (:class:`~repro.runtime.plan.ExecutionPlan`: the worker count; its
+    ``dispatch`` field is sweep-only and ignored here); ``None`` means
+    the default plan.
 
     With a ``journal``, the campaign's plan and per-unit completions are
     written through to disk; ``resume=True`` keeps the journal's prior

@@ -1,21 +1,20 @@
 """ExecutionPlan: one frozen, serializable description of *how* to execute.
 
 Historically every campaign entry point grew its own execution knobs —
-``jobs=`` here, ``dispatch=`` there, ``point_batch=`` on the config,
-``cache_dir`` on the CLI — and nothing could ship "run it exactly like
-this" across a process boundary.  Distribution forces the issue: a
-remote worker must receive a single self-contained description of the
-execution discipline, byte-for-byte the one the coordinator's operator
-chose.  :class:`ExecutionPlan` is that description.
+``jobs=`` here, ``dispatch=`` there — and nothing could ship "run it
+exactly like this" across a process boundary.  Distribution forces the
+issue: a remote worker must receive a single self-contained description
+of the execution discipline, byte-for-byte the one the coordinator's
+operator chose.  :class:`ExecutionPlan` is that description: a worker
+count and a sweep dispatch granularity.
 
-The plan is deliberately **not** part of any cache key.  Every field it
-carries is an execution knob — worker count, dispatch granularity, the
-batching budgets (:data:`repro.core.experiment.EXECUTION_FIELDS`), and
-where the cache lives — and the runtime's determinism contract says
-execution knobs never move results.  Applying a plan to a config
-(:meth:`ExecutionPlan.apply_to`) therefore never changes a fingerprint,
-which is exactly why a coordinator can ship one plan to N workers and
-still merge their point stores byte-identically.
+The plan is deliberately **not** part of any cache key.  Both of its
+fields are execution knobs, and the runtime's determinism contract says
+execution knobs never move results — which is exactly why a coordinator
+can ship one plan to N workers and still merge their point stores
+byte-identically.  The batching budgets
+(:data:`repro.core.experiment.EXECUTION_FIELDS`) live on the config,
+which excludes them from every fingerprint.
 
 Alongside the plan live the config wire helpers
 (:func:`config_to_wire` / :func:`config_from_wire`): the coordinator
@@ -33,7 +32,7 @@ only execution argument; ``None`` means the default plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from repro.core.experiment import ExperimentConfig
 from repro.fpga.calibration import Calibration
@@ -65,17 +64,6 @@ class ExecutionPlan:
     #: pool, ``"point"`` drives strategies on parent threads and ships
     #: each round as one fabric task.
     dispatch: str = "unit"
-    #: Max planned voltage points per sweep round; ``None`` keeps the
-    #: config's value (an :data:`~repro.core.experiment.EXECUTION_FIELDS`
-    #: knob, excluded from every fingerprint).
-    point_batch: int | None = None
-    #: Max stacked inferences per batched forward pass; ``None`` keeps
-    #: the config's value (execution-only, like ``point_batch``).
-    batch_budget: int | None = None
-    #: Cache directory this plan expects to execute against; ``None``
-    #: means "whatever cache the caller attaches".  Workers substitute
-    #: their own local store (the coordinator's path is host-local).
-    cache_dir: str | None = None
 
     def __post_init__(self):
         if self.dispatch not in DISPATCH_MODES:
@@ -88,34 +76,12 @@ class ExecutionPlan:
             if jobs < 1:
                 raise ValueError(f"jobs must be >= 1, got {jobs}")
             object.__setattr__(self, "jobs", jobs)
-        if self.point_batch is not None and self.point_batch < 1:
-            raise ValueError(f"point_batch must be >= 1, got {self.point_batch}")
-        if self.batch_budget is not None and self.batch_budget < 1:
-            raise ValueError(f"batch_budget must be >= 1, got {self.batch_budget}")
 
     def resolved_jobs(self) -> int:
         """The concrete worker count (``"auto"`` resolved on this host)."""
         from repro.runtime.fabric import resolve_jobs
 
         return resolve_jobs(self.jobs)
-
-    def apply_to(self, config: ExperimentConfig) -> ExperimentConfig:
-        """Overlay this plan's execution-field overrides onto a config.
-
-        Only :data:`~repro.core.experiment.EXECUTION_FIELDS` members are
-        touched, so the returned config fingerprints identically to the
-        input — a plan can never move a cache key.
-        """
-        overrides = {}
-        if self.point_batch is not None:
-            overrides["point_batch"] = self.point_batch
-        if self.batch_budget is not None:
-            overrides["batch_budget"] = self.batch_budget
-        return config.with_overrides(**overrides) if overrides else config
-
-    def with_overrides(self, **kwargs) -> "ExecutionPlan":
-        """A copy with the given fields replaced (validation re-runs)."""
-        return replace(self, **kwargs)
 
     def to_wire(self) -> dict:
         """JSON-able snapshot, shipped verbatim to remote workers."""

@@ -145,22 +145,17 @@ class PointCache:
         return self.root / f"{fingerprint}.json"
 
     def load(self, fingerprint: str) -> PointRecord | None:
-        """Return the cached point, or ``None`` on miss or corruption."""
+        """Return the cached point, or ``None`` on miss or corruption.
+
+        A corrupt entry (anything :func:`read_point_entry` rejects) is
+        deleted so the sweep recomputes and rewrites it.
+        """
         path = self.path_for(fingerprint)
         if not path.exists():
             self.stats.misses += 1
             return None
-        try:
-            payload = json.loads(path.read_text())
-            if not _ENTRY_KEYS <= set(payload):
-                raise ValueError("point payload missing keys")
-            if payload["fingerprint"] != fingerprint:
-                raise ValueError("point entry under the wrong fingerprint")
-            hang = bool(payload["hang"])
-            measurement = None
-            if not hang:
-                measurement = measurement_from_payload(payload["measurement"])
-        except (OSError, ValueError, TypeError, KeyError):
+        entry = read_point_entry(path)
+        if entry is None:
             self.stats.corrupt += 1
             self.stats.misses += 1
             try:
@@ -169,7 +164,7 @@ class PointCache:
                 pass
             return None
         self.stats.hits += 1
-        return PointRecord(hang=hang, measurement=measurement)
+        return entry.record
 
     def store(
         self,

@@ -13,13 +13,15 @@ directory, nothing about the campaign.  Each cycle it
 2. **syncs** any model-plane blobs it is missing from ``GET /blobs``
    into its local store, so cold workers load spilled models instead of
    rebuilding them;
-3. **executes** the unit on its local runtime — the same
-   :func:`~repro.runtime.campaign.run_sweep_unit` /
-   ``registry.run_unit`` paths a single-host campaign drives, writing
-   the same local point store and result cache — unless its local
-   content-addressed cache already holds the unit's result (a warm
-   worker posts the cached result straight back; the fingerprint embeds
-   config and version, so skew cannot smuggle stale bytes); and
+3. **executes** the unit as a one-unit campaign on its local runtime —
+   :func:`~repro.runtime.campaign.run_campaign` for an experiment,
+   :func:`~repro.runtime.campaign.run_sweep_campaign` for a board sweep,
+   both on the worker's one :class:`~repro.runtime.fabric.WorkerFabric`
+   — so it shards, caches and writes the same local point store exactly
+   as a single-host campaign does; a unit its local content-addressed
+   cache already holds comes straight back as a cache hit (the
+   fingerprint embeds config and version, so skew cannot smuggle stale
+   bytes); and
 4. **posts** the result plus the raw text of every point entry the unit
    produced to ``POST /complete`` for the coordinator to merge.
 
@@ -67,10 +69,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.runtime.cache import ResultCache, normalize_result, result_to_payload
+from repro.runtime.cache import ResultCache, atomic_write_text, result_to_payload
+from repro.runtime.campaign import run_campaign, run_sweep_campaign
 from repro.runtime.chaos import PoisonedUnitError, poison_units
-from repro.runtime.hashing import current_version
+from repro.runtime.hashing import current_version, point_fingerprinter
 from repro.runtime.plan import ExecutionPlan, config_from_wire
+from repro.runtime.points import PointCache
 from repro.runtime.resilience import (
     DEFAULT_RETRY_BUDGET_S,
     CircuitBreaker,
@@ -292,14 +296,6 @@ class WorkerStats:
         }
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Crash-safe byte write (same temp+rename discipline as the cache)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def sync_blobs(client: CoordinatorClient, blob_root: Path) -> int:
     """Pull every coordinator blob this store is missing; returns count.
 
@@ -312,45 +308,13 @@ def sync_blobs(client: CoordinatorClient, blob_root: Path) -> int:
         target = Path(blob_root) / name
         if target.exists():
             continue
-        _atomic_write_bytes(target, client.fetch_blob(name))
+        target.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(target, client.fetch_blob(name))
         synced += 1
     return synced
 
 
-def _execute_unit(
-    unit: dict,
-    config,
-    plan: ExecutionPlan,
-    cache: ResultCache,
-    fabric,
-):
-    """Run one leased unit on the local runtime; returns its result.
-
-    Sweep units honor the shipped plan's ``dispatch`` — ``point`` mode
-    drives the strategy here and ships rounds to the local fabric,
-    exactly as a single-host point-dispatch campaign would.  Units named
-    in ``REPRO_CHAOS_POISON_UNITS`` raise instead of running — the chaos
-    smoke's deterministic stand-in for a unit that crashes its worker.
-    """
-    from repro.experiments.registry import run_unit
-    from repro.runtime.campaign import run_sweep_unit, run_sweep_unit_remote
-
-    if unit["unit_id"] in poison_units():
-        raise PoisonedUnitError(f"unit {unit['unit_id']!r} is poisoned for this run")
-    point_root = str(cache.point_root)
-    blob_root = str(cache.blob_root)
-    if unit["kind"] == "sweep":
-        if plan.dispatch == "point" and fabric is not None:
-            return run_sweep_unit_remote(
-                unit["benchmark"], unit["board"], config, point_root, blob_root, fabric
-            )
-        return run_sweep_unit(unit["benchmark"], unit["board"], config, point_root, blob_root)
-    if unit["kind"] == "experiment":
-        return run_unit(unit["experiment_id"], None, config, point_root, blob_root)
-    raise WorkerError(f"unknown unit kind {unit.get('kind')!r}")
-
-
-def _collect_points(cache: ResultCache, unit_id: str, config) -> dict[str, str]:
+def _collect_points(points: PointCache, unit_id: str, config) -> dict[str, str]:
     """Raw text of every local point entry this unit computed under ``config``.
 
     Shipped verbatim so the coordinator can merge files byte-identical
@@ -358,22 +322,18 @@ def _collect_points(cache: ResultCache, unit_id: str, config) -> dict[str, str]:
     scope alone does not identify the unit's points: a worker's cache
     may hold the same scope measured under another config (another seed,
     say) or version, so only entries whose fingerprint recomputes under
-    the leased config and this version are shipped.
+    the leased config and this version are shipped.  ``points`` lives as
+    long as the worker, so its scan memo serves every file an earlier
+    completion already parsed; only the matches are read again.
     """
-    from repro.runtime.hashing import point_fingerprinter
-    from repro.runtime.points import PointCache, read_point_entry
-
     fingerprint_of = point_fingerprinter(config, current_version())
-    points: dict[str, str] = {}
-    for path in PointCache(cache.point_root).entries():
-        entry = read_point_entry(path)
-        if (
-            entry is not None
-            and entry.scope == unit_id
-            and fingerprint_of(unit_id, entry.context) == entry.fingerprint
-        ):
-            points[entry.fingerprint] = path.read_text()
-    return points
+    return {
+        entry.fingerprint: path.read_text()
+        for path, entry in points.scan()
+        if entry is not None
+        and entry.scope == unit_id
+        and fingerprint_of(unit_id, entry.context) == entry.fingerprint
+    }
 
 
 def run_worker(
@@ -413,6 +373,7 @@ def run_worker(
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     policy = (retry_policy or RetryPolicy()).named(f"worker/{worker_id}")
     cache = ResultCache(cache_dir)
+    points = PointCache(cache.point_root)
     stats = WorkerStats(worker_id=worker_id)
     started = time.perf_counter()
     last_success: float | None = None
@@ -473,19 +434,17 @@ def run_worker(
                 plan = ExecutionPlan.from_wire(response["plan"])
             except (KeyError, TypeError, ValueError, ReproError) as exc:
                 raise WorkerError(f"malformed lease: {type(exc).__name__}: {exc}") from exc
-            effective_jobs = (
-                plan.resolved_jobs() if jobs is None else ExecutionPlan(jobs=jobs).resolved_jobs()
-            )
-            config = plan.apply_to(config)
+            if jobs is not None:
+                plan = ExecutionPlan(jobs=jobs, dispatch=plan.dispatch)
+            if fabric is None and plan.resolved_jobs() > 1:
+                # One fabric for the worker's life; it spawns no pool
+                # until a unit dispatches a task.
+                fabric = WorkerFabric(plan.jobs, blob_root=str(cache.blob_root))
 
             # Trust-on-boot: the fingerprint embeds config and version
-            # (both already validated), so a local cache hit is exactly
-            # the result execution would recompute — post it instead.
-            hit = cache.load(fingerprint, unit_id)
-            if hit is not None:
-                result, wall_s = hit.result, hit.wall_s
-                stats.units_from_cache += 1
-            else:
+            # (both already validated), so a locally cached unit comes
+            # back from the campaign as a hit and needs no blobs.
+            if not cache.path_for(fingerprint).exists():
                 try:
                     # Blob sync is pull-only and skips existing files, so
                     # retrying the whole pass after a mid-sync fault is safe.
@@ -495,39 +454,49 @@ def run_worker(
                 except RETRYABLE:
                     stats.stopped = "unreachable"
                     break
-                if effective_jobs > 1 and fabric is None:
-                    fabric = WorkerFabric(effective_jobs, blob_root=str(cache.blob_root))
-                heartbeat = LeaseHeartbeat(
-                    lambda: client.renew(unit_id, lease_id).get("status") == "renewed",
-                    ttl_s=float(response.get("ttl_s", 60.0)),
-                )
-                unit_started = time.perf_counter()
-                try:
-                    with heartbeat:
-                        result = normalize_result(_execute_unit(unit, config, plan, cache, fabric))
-                except WorkerError:
-                    raise
-                except Exception:
-                    stats.units_failed += 1
-                    error = traceback.format_exc()
-                    if not quiet:
-                        print(
-                            f"[{worker_id}] {unit_id}: execution failed, reporting",
-                            flush=True,
+            heartbeat = LeaseHeartbeat(
+                lambda: client.renew(unit_id, lease_id).get("status") == "renewed",
+                ttl_s=float(response.get("ttl_s", 60.0)),
+            )
+            try:
+                with heartbeat:
+                    # The chaos smoke's deterministic stand-in for a unit
+                    # that crashes its worker (REPRO_CHAOS_POISON_UNITS).
+                    if unit_id in poison_units():
+                        raise PoisonedUnitError(f"unit {unit_id!r} is poisoned for this run")
+                    if unit["kind"] == "sweep":
+                        outcome = run_sweep_campaign(
+                            unit["benchmark"],
+                            [unit["board"]],
+                            config,
+                            plan,
+                            cache=cache,
+                            fabric=fabric,
                         )
-                    try:
-                        # Safe to retry: a /fail re-post lands on an
-                        # already-released lease and answers "stale".
-                        _post(lambda: client.fail(unit_id, lease_id, error), "fail")
-                    except RETRYABLE:
-                        pass  # the lease TTL lapses and strikes for us
-                    continue
-                finally:
-                    stats.lease_renewals += heartbeat.renewals
-                wall_s = time.perf_counter() - unit_started
-                # Warm the local cache too: a re-leased or re-run unit
-                # on this host becomes a pure cache hit.
-                cache.store(fingerprint, unit_id, config, result, wall_s)
+                    elif unit["kind"] == "experiment":
+                        outcome = run_campaign(
+                            [unit["experiment_id"]], config, plan, cache=cache, fabric=fabric
+                        )
+                    else:
+                        raise WorkerError(f"unknown unit kind {unit.get('kind')!r}")
+            except WorkerError:
+                raise
+            except Exception:
+                stats.units_failed += 1
+                error = traceback.format_exc()
+                if not quiet:
+                    print(f"[{worker_id}] {unit_id}: execution failed, reporting", flush=True)
+                try:
+                    # Safe to retry: a /fail re-post lands on an
+                    # already-released lease and answers "stale".
+                    _post(lambda: client.fail(unit_id, lease_id, error), "fail")
+                except RETRYABLE:
+                    pass  # the lease TTL lapses and strikes for us
+                continue
+            finally:
+                stats.lease_renewals += heartbeat.renewals
+            (entry,) = outcome.entries
+            stats.units_from_cache += entry.cache_hit
 
             try:
                 verdict = _post(
@@ -536,9 +505,9 @@ def run_worker(
                             "lease_id": lease_id,
                             "unit_id": unit_id,
                             "fingerprint": fingerprint,
-                            "wall_s": wall_s,
-                            "result": result_to_payload(result),
-                            "points": _collect_points(cache, unit_id, config),
+                            "wall_s": entry.wall_s,
+                            "result": result_to_payload(entry.result),
+                            "points": _collect_points(points, unit_id, config),
                         }
                     ),
                     "complete",
@@ -564,7 +533,7 @@ def run_worker(
             if not quiet:
                 print(
                     f"[{worker_id}] {unit_id}: {verdict.get('status')} "
-                    f"({wall_s:.2f}s{', cached' if hit is not None else ''})",
+                    f"({entry.wall_s:.2f}s{', cached' if entry.cache_hit else ''})",
                     flush=True,
                 )
         else:

@@ -23,7 +23,12 @@ import pytest
 
 from repro.core.experiment import ExperimentConfig
 from repro.runtime.cache import ResultCache, normalize_result, result_to_payload
-from repro.runtime.campaign import run_sweep_campaign, run_sweep_unit, sweep_unit_id
+from repro.runtime.campaign import (
+    run_campaign,
+    run_sweep_campaign,
+    run_sweep_unit,
+    sweep_unit_id,
+)
 from repro.runtime.coordinator import (
     LeaseBoard,
     make_coordinator,
@@ -430,6 +435,71 @@ class TestWorkerShipsOnlyTheLeasedConfig:
             p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")
         }
         assert serial_points and merged_points == serial_points
+
+
+class TestPooledWorker:
+    @pytest.mark.parametrize("dispatch", ["unit", "point"])
+    def test_jobs_2_worker_runs_units_as_campaigns(self, tmp_path, monkeypatch, dispatch):
+        """A leased unit is a one-unit campaign on the worker's fabric:
+        fig3's five per-benchmark shards go to the worker's pool, and the
+        merged point store is byte-identical to a single-host serial run."""
+        from repro.runtime import fabric as fabric_module
+        from repro.runtime.plan import ExecutionPlan
+
+        serial_cache = ResultCache(tmp_path / "serial-cache")
+        run_campaign(["fig3"], CFG, cache=serial_cache)
+        run_sweep_campaign("vggnet", [1], CFG, cache=serial_cache)
+
+        fabrics = []
+
+        class RecordingFabric(fabric_module.WorkerFabric):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.rounds = []
+                fabrics.append(self)
+
+            def note_dispatched(self, n):
+                self.rounds.append(n)
+                super().note_dispatched(n)
+
+        monkeypatch.setattr(fabric_module, "WorkerFabric", RecordingFabric)
+        coordinator, thread, url = _start_coordinator(
+            tmp_path, ["fig3", "sweep:vggnet:board1"], plan=ExecutionPlan(dispatch=dispatch)
+        )
+        stats = run_worker(url, tmp_path / "worker", worker_id="w0", jobs=2)
+        thread.join(timeout=60)
+        assert stats.stopped == "drained" and stats.units_completed == 2
+        assert coordinator.drained
+
+        (fabric,) = fabrics
+        assert fabric.pools_spawned == 1
+        assert fabric.rounds[0] == 5  # fig3, leased first, in one round of shards
+
+        serial_points = {p.name: p.read_bytes() for p in serial_cache.point_root.glob("*.json")}
+        merged_points = {
+            p.name: p.read_bytes() for p in coordinator.cache.point_root.glob("*.json")
+        }
+        assert serial_points and merged_points == serial_points
+        run = coordinator.journal.last_run(coordinator.campaign_id)
+        assert run["completed"] == 2 and run["recomputed"] == 0
+
+
+class TestCollectPoints:
+    def test_second_collection_reads_no_unchanged_file(self, tmp_path):
+        """The worker keeps one point cache, so a later completion parses
+        only files it has not seen, and ships the same bytes."""
+        from repro.runtime.points import PointCache
+        from repro.runtime.remote_worker import _collect_points
+
+        cache = ResultCache(tmp_path / "w")
+        run_sweep_campaign("vggnet", [0], CFG, cache=cache)
+        points = PointCache(cache.point_root)
+        unit_id = sweep_unit_id("vggnet", 0)
+        first = _collect_points(points, unit_id, CFG)
+        parsed = points.scan_rereads
+        assert first and parsed == len(points.entries())
+        assert _collect_points(points, unit_id, CFG) == first
+        assert points.scan_rereads == parsed
 
 
 class _OneLeaseClient:

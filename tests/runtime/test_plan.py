@@ -1,9 +1,10 @@
-"""ExecutionPlan tests: validation, wire round-trips, campaign plumbing.
+"""ExecutionPlan tests: validation and wire round-trips.
 
 The plan's contract: one frozen value describes *how* a campaign
-executes, it survives a JSON round-trip bit-exactly (the distributed
-fabric ships it verbatim), and applying it to a config never moves a
-fingerprint.
+executes (worker count and sweep dispatch), and it survives a JSON
+round-trip bit-exactly (the distributed fabric ships it verbatim).
+That execution fields never move a fingerprint is pinned in
+``tests/runtime/test_hashing.py``.
 """
 
 import json
@@ -26,7 +27,7 @@ class TestValidation:
         plan = ExecutionPlan()
         assert plan.jobs == 1
         assert plan.dispatch == "unit"
-        assert plan.point_batch is None and plan.batch_budget is None
+        assert plan.to_wire() == {"jobs": 1, "dispatch": "unit"}
 
     def test_bad_dispatch_is_value_error(self):
         """The historical run_sweep_campaign contract: ValueError, not CampaignError."""
@@ -42,31 +43,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExecutionPlan(jobs="many")
 
-    def test_batch_knobs_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan(point_batch=0)
-        with pytest.raises(ValueError):
-            ExecutionPlan(batch_budget=-1)
-
-
-class TestApplyTo:
-    def test_overlays_execution_fields_only(self):
-        plan = ExecutionPlan(point_batch=3, batch_budget=512)
-        applied = plan.apply_to(CFG)
-        assert applied.point_batch == 3 and applied.batch_budget == 512
-
-    def test_never_moves_a_fingerprint(self):
-        """Execution knobs are excluded from cache keys by construction."""
-        applied = ExecutionPlan(point_batch=2, batch_budget=128, jobs=7).apply_to(CFG)
-        assert config_fingerprint("fig3", applied) == config_fingerprint("fig3", CFG)
-
-    def test_noop_without_overrides(self):
-        assert ExecutionPlan(jobs=4).apply_to(CFG) is CFG
-
 
 class TestWire:
     def test_plan_round_trip_is_exact(self):
-        plan = ExecutionPlan(jobs=3, dispatch="point", point_batch=5, cache_dir="/tmp/c")
+        plan = ExecutionPlan(jobs=3, dispatch="point")
         wired = json.loads(json.dumps(plan.to_wire()))
         assert ExecutionPlan.from_wire(wired) == plan
 
@@ -90,12 +70,3 @@ class TestWire:
         assert rebuilt.cal == config.cal
         for unit_id in ("fig3", "sweep:vggnet:board0"):
             assert config_fingerprint(unit_id, rebuilt) == config_fingerprint(unit_id, config)
-
-
-class TestCampaignPlanArgument:
-    def test_plan_cache_dir_attaches_a_cache(self, tmp_path):
-        from repro.runtime.campaign import run_campaign
-
-        plan = ExecutionPlan(cache_dir=str(tmp_path / "cache"))
-        run_campaign(["table1"], CFG, plan)
-        assert list((tmp_path / "cache").glob("*.json"))

@@ -21,6 +21,7 @@ from repro.runtime.points import (
     measurement_to_payload,
     point_context,
     point_scope,
+    read_point_entry,
 )
 
 CFG = ExperimentConfig(repeats=2, samples=16)
@@ -271,6 +272,21 @@ class TestCorruption:
         fresh = PointCache(tmp_path / "points")
         assert fresh.load(entries[0].stem) is None
         assert fresh.stats.corrupt == 1
+
+    def test_non_dict_context_treated_as_corrupt(self, tmp_path, workload):
+        """``load`` and the read-only scan share one parser, so a file
+        either reader rejects is corrupt to both."""
+        cache = PointCache(tmp_path / "points")
+        sweep(fresh_session(workload), CFG, cache)
+        victim = cache.entries()[0]
+        payload = json.loads(victim.read_text())
+        payload["context"] = ["not", "a", "dict"]
+        victim.write_text(json.dumps(payload))
+        assert read_point_entry(victim) is None
+        fresh = PointCache(tmp_path / "points")
+        assert fresh.load(victim.stem) is None
+        assert fresh.stats.corrupt == 1
+        assert not victim.exists()
 
 
 class TestGridAdaptiveProperty:
