@@ -1,4 +1,4 @@
-"""Characterization query-service benchmarks: cold index vs warm LRU.
+"""Characterization query-service benchmarks: cold index vs warm index.
 
 Warms one point store (full vggnet sweeps across the three-board fleet),
 then measures the two ends of the serving path:
@@ -9,7 +9,9 @@ then measures the two ends of the serving path:
   landmark rows are computed from scratch.
 * ``test_query_warm_lru`` — answer a mixed query batch (landmarks,
   guardband, exact + interpolated points) against one shared warm index:
-  the LRU and the landmark memo serve everything from memory.
+  the indexed payloads and the landmark memo serve everything from
+  memory.  The test id keeps its historical ``lru`` name because the
+  recorded baselines key on it.
 
 The acceptance contract, gated by ``benchmarks/baselines/ci.json`` via
 ``scripts/check_bench_regression.py``:
@@ -30,7 +32,7 @@ from repro.query import open_index
 from repro.runtime.cache import ResultCache
 from repro.runtime.campaign import run_sweep_campaign
 
-#: Serving-path fidelity: the query layer's cost is index + LRU work, not
+#: Serving-path fidelity: the query layer's cost is index work, not
 #: simulator fidelity, so the store is warmed at a light config.
 REPEATS = 1
 SAMPLES = 16

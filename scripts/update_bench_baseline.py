@@ -66,8 +66,8 @@ SPEEDUP_GATES = [
         "fast": "benchmarks/bench_query.py::test_query_warm_lru",
         "slow": "benchmarks/bench_query.py::test_query_cold_index",
         "min_ratio": 5.0,
-        "why": "characterization serving path: a warm index (LRU + "
-               "landmark memo) must answer a mixed query batch >=5x "
+        "why": "characterization serving path: a warm index (in-memory "
+               "payloads + landmark memo) must answer a mixed query batch >=5x "
                "faster than rebuilding the index from the on-disk point "
                "store; the bench bodies additionally assert cold and "
                "warm answers are identical and that the warm path "

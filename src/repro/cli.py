@@ -512,7 +512,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         config=_config_from_args(args),
         allow_compute=args.compute,
-        lru_capacity=args.lru_capacity,
         max_inflight=args.max_inflight,
         max_connections=args.max_connections,
         coalesce_window_s=args.coalesce_window,
@@ -833,10 +832,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR,
         help=f"cache directory holding the point store (default {DEFAULT_CACHE_DIR})",
-    )
-    p_serve.add_argument(
-        "--lru-capacity", dest="lru_capacity", type=int, default=None,
-        help="bound on parsed point payloads held in memory",
     )
     from repro.serve import (
         DEFAULT_COALESCE_WINDOW_S,

@@ -28,22 +28,18 @@ The same index instance backs the HTTP service (:mod:`repro.serve`).
 """
 
 from repro.runtime.query import (
-    DEFAULT_LRU_CAPACITY,
     EXACT_TOLERANCE_MV,
     CharacterizationIndex,
     DatasetKey,
-    MeasurementLRU,
     RequestCoalescer,
     open_index,
     to_json,
 )
 
 __all__ = [
-    "DEFAULT_LRU_CAPACITY",
     "EXACT_TOLERANCE_MV",
     "CharacterizationIndex",
     "DatasetKey",
-    "MeasurementLRU",
     "RequestCoalescer",
     "open_index",
     "to_json",

@@ -57,8 +57,9 @@ embarrassingly parallel, cache-friendly workload:
   backoff, bounded per slot.
 * :mod:`repro.runtime.query` — the serving side: a read-through
   characterization index over the point store (exact/nearest/interpolated
-  point lookup, Vmin/Vcrash landmarks, guardband maps) with an in-process
-  LRU and request-coalesced miss computation; the engine behind
+  point lookup, Vmin/Vcrash landmarks, guardband maps) answered from
+  parsed payloads held in memory, with request-coalesced miss
+  computation; the engine behind
   ``repro-undervolt query``/``serve`` (public facade: :mod:`repro.query`).
 
 Determinism contract: at a fixed seed,
@@ -88,7 +89,6 @@ from repro.runtime.points import PointCache, PointEntry, PointStats, point_scope
 from repro.runtime.query import (
     CharacterizationIndex,
     DatasetKey,
-    MeasurementLRU,
     RequestCoalescer,
     open_index,
 )
@@ -110,7 +110,6 @@ __all__ = [
     "DatasetKey",
     "ExecutionPlan",
     "LeaseHeartbeat",
-    "MeasurementLRU",
     "PointCache",
     "PointEntry",
     "PointStats",

@@ -127,14 +127,12 @@ class PointCache:
     def __post_init__(self):
         self.root = Path(self.root)
         #: Read-side parse memo keyed by filename: (mtime_ns, size,
-        #: *light* entry or None for corrupt).  Entries are immutable
+        #: parsed entry or None for corrupt).  Entries are immutable
         #: once written (writers replace atomically, which moves the
         #: mtime), so an unchanged stat means an unchanged parse — the
-        #: fast path warm index refreshes ride on.  Memoized entries are
-        #: stripped of their measurement payload so the memo stays a
-        #: few hundred bytes per point however large the store grows:
-        #: payload residency is the :class:`~repro.runtime.query.MeasurementLRU`'s
-        #: job, never this memo's.
+        #: fast path warm index refreshes ride on.  The memo is the one
+        #: owner of parsed payloads: the query index serves every
+        #: measurement from it, never from disk.
         self._scan_memo: dict[str, tuple[int, int, PointEntry | None]] = {}
         #: Scan counters: files served from the memo vs re-read.
         self.scan_fast_hits = 0
@@ -215,12 +213,8 @@ class PointCache:
         warm index refresh over a large store costs one ``stat`` per
         file instead of one full JSON parse.  Memoized corrupt verdicts
         are reused too: a file that has not changed cannot have healed.
-
-        Memo-served entries are *light*: ``record.measurement`` is
-        ``None`` even for alive points (the memo keeps identity, never
-        payloads — see ``_scan_memo``).  A freshly parsed file yields
-        its full entry; readers that need a payload for a memoized
-        point re-read it via :func:`read_point_entry`.
+        Memo-served entries are the full parsed entries, measurement
+        included.
         """
         seen: set[str] = set()
         for path in self.entries():
@@ -235,26 +229,13 @@ class PointCache:
                 yield path, memo[2]
                 continue
             entry = read_point_entry(path)
-            self._scan_memo[path.name] = (stat.st_mtime_ns, stat.st_size, _light_entry(entry))
+            self._scan_memo[path.name] = (stat.st_mtime_ns, stat.st_size, entry)
             self.scan_rereads += 1
             yield path, entry
         for name in set(self._scan_memo) - seen:
             # pop, not del: concurrent scans over one cache instance may
             # both observe (and both prune) an externally deleted file.
             self._scan_memo.pop(name, None)
-
-
-def _light_entry(entry: "PointEntry | None") -> "PointEntry | None":
-    """The memoized form of a parsed entry: identity kept, payload dropped."""
-    if entry is None or entry.record.measurement is None:
-        return entry
-    return PointEntry(
-        fingerprint=entry.fingerprint,
-        scope=entry.scope,
-        context=entry.context,
-        version=entry.version,
-        record=PointRecord(hang=False, measurement=None),
-    )
 
 
 @dataclass(frozen=True)

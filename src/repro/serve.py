@@ -11,8 +11,9 @@ instead of queueing unboundedly:
 endpoint                  answers
 ========================  =====================================================
 ``/healthz``              liveness + library version + indexed-point count
-``/stats``                the index's full counter set (LRU, coalescing,
-                          ``served_from_cache``, journal summary)
+``/stats``                the index's full counter set (points, payload
+                          reads, coalescing, ``served_from_cache``,
+                          journal summary)
 ``/metrics``              the *server's* counters, gauges and latency
                           histogram (see :data:`METRIC_COUNTER_NAMES`)
 ``/points``               one dataset's measured points
@@ -500,7 +501,6 @@ def make_server(
     port: int = 8080,
     config: ExperimentConfig | None = None,
     allow_compute: bool = False,
-    lru_capacity: int | None = None,
     quiet: bool = False,
     **server_kwargs,
 ) -> AsyncCharacterizationServer:
@@ -513,10 +513,7 @@ def make_server(
     ``drain_timeout_s``, ``precompute``) pass through to
     :class:`AsyncCharacterizationServer`.
     """
-    kwargs: dict = {"config": config}
-    if lru_capacity is not None:
-        kwargs["lru_capacity"] = lru_capacity
-    index = CharacterizationIndex(cache_dir, **kwargs)
+    index = CharacterizationIndex(cache_dir, config=config)
     return AsyncCharacterizationServer(
         (host, port), index, allow_compute=allow_compute, quiet=quiet, **server_kwargs
     )

@@ -1,13 +1,15 @@
-"""Characterization query service: index, LRU, read-through, coalescing."""
+"""Characterization query service: index, read-through, coalescing."""
 
 import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 import repro.runtime.campaign as campaign_mod
+import repro.runtime.points as points_mod
 from repro.core.experiment import ExperimentConfig
 from repro.core.regions import detect_regions
 from repro.core.session import make_session
@@ -86,6 +88,20 @@ class TestIndexBuild:
         idx = open_index(warm_cache, config=CONFIG)
         assert idx.stats()["points"]["indexed"] >= 50
         assert len(calls) == 1
+
+    def test_context_under_two_scopes_indexes_once(self, tmp_path):
+        """One context under two scopes: the index admits one copy."""
+        run_sweep_campaign("vggnet", [0], CONFIG, cache=ResultCache(tmp_path))
+        single = open_index(tmp_path, config=CONFIG).points("vggnet", board=0)
+        store = PointCache(tmp_path / "points")
+        for path in store.entries():
+            payload = json.loads(path.read_text())
+            payload["scope"] = "fig3"
+            payload["fingerprint"] = point_fingerprint("fig3", payload["context"], CONFIG)
+            store.path_for(payload["fingerprint"]).write_text(json.dumps(payload))
+        idx = open_index(tmp_path, config=CONFIG)
+        assert idx.stats()["points"]["indexed"] * 2 == len(store.entries())
+        assert idx.points("vggnet", board=0) == single
 
     def test_dataset_keys_sorted_and_filtered(self, index):
         keys = index.dataset_keys(benchmark="vggnet")
@@ -197,42 +213,30 @@ class TestLandmarks:
         assert cache.point_root.is_dir()
 
 
-class TestLRU:
-    def test_small_lru_still_answers_correctly(self, warm_cache, index):
-        tiny = open_index(warm_cache, config=CONFIG, lru_capacity=4)
-        # Walk every dataset twice; capacity 4 forces evictions + re-reads.
-        for _ in range(2):
-            for board in BOARDS:
-                assert tiny.landmarks("vggnet", board=board) == index.landmarks(
-                    "vggnet", board=board
-                )
-        stats = tiny.stats()["lru"]
-        assert stats["size"] <= 4
-        assert stats["evictions"] > 0
-        assert stats["misses"] > 0
-
-    def test_lru_seeds_only_points_that_won_deduplication(self, tmp_path):
-        """One context under two scopes: the losing copy never enters the LRU."""
-        run_sweep_campaign("vggnet", [0], CONFIG, cache=ResultCache(tmp_path))
-        store = PointCache(tmp_path / "points")
-        for path in store.entries():
-            payload = json.loads(path.read_text())
-            payload["scope"] = "fig3"
-            payload["fingerprint"] = point_fingerprint("fig3", payload["context"], CONFIG)
-            store.path_for(payload["fingerprint"]).write_text(json.dumps(payload))
-        idx = open_index(tmp_path, config=CONFIG)
-        points = idx.stats()["points"]
-        assert points["indexed"] * 2 == len(store.entries())
-        assert idx.stats()["lru"]["size"] == points["alive"]
-
-    def test_warm_lru_hits_skip_disk(self, warm_cache):
+class TestServedFromMemory:
+    def test_every_query_answers_with_no_file_read(self, warm_cache, monkeypatch):
         idx = open_index(warm_cache, config=CONFIG)
-        idx.point("vggnet", 850.0, board=0)
-        before = idx.stats()["lru"]
-        idx.point("vggnet", 850.0, board=0)
-        after = idx.stats()["lru"]
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
+        idx.precompute_landmarks()
+        (row,) = idx.landmarks("vggnet", board=0)
+        vmin_mv = row["vmin_mv"]
+
+        def no_read(path):
+            raise AssertionError(f"a query re-read point file {path}")
+
+        monkeypatch.setattr(points_mod, "read_point_entry", no_read)
+        monkeypatch.setattr(Path, "read_text", no_read)
+        for board in BOARDS:
+            assert idx.points("vggnet", board=board)["n_points"] > 0
+        assert idx.point("vggnet", vmin_mv, board=0)["hang"] is False
+        assert "distance_mv" in idx.point("vggnet", vmin_mv - 0.3, board=0, mode="nearest")
+        assert idx.point("vggnet", vmin_mv - 2.5, board=1, mode="interpolate")["hang"] is False
+        assert len(idx.landmarks("vggnet")) == len(BOARDS)
+        (entry,) = idx.guardband("vggnet")
+        assert len(entry["boards"]) == len(BOARDS)
+        monkeypatch.undo()  # stats() reads the campaign journal
+        lru = idx.stats()["lru"]
+        assert lru["hits"] > 0
+        assert (lru["misses"], lru["evictions"]) == (0, 0)
 
 
 class TestReadThrough:
@@ -471,7 +475,7 @@ class TestReviewRegressions:
             idx.point("vggnet", 850.0, board=0, compute=True)
         assert idx.computed_points == computed_before
 
-    def test_refresh_drops_stale_lru_payloads(self, tmp_path):
+    def test_refresh_drops_stale_payloads(self, tmp_path):
         """A point file rewritten in place is re-served after refresh()."""
         idx = CharacterizationIndex(tmp_path, config=CONFIG)
         idx.ensure_point("vggnet", 850.0, board=0)
@@ -484,3 +488,17 @@ class TestReviewRegressions:
         idx.refresh()
         assert idx.point("vggnet", 850.0, board=0)["power_w"] == 123.456
         assert original["power_w"] != 123.456
+
+    def test_deleted_point_is_served_until_refresh(self, tmp_path):
+        """Queries read a snapshot: a deleted file leaves on the next refresh()."""
+        idx = CharacterizationIndex(tmp_path, config=CONFIG)
+        idx.ensure_point("vggnet", 850.0, board=0)
+        original = idx.point("vggnet", 850.0, board=0)
+        (path,) = PointCache(idx.cache_dir / "points").entries()
+        path.unlink()
+        assert idx.point("vggnet", 850.0, board=0) == original
+        assert idx.stats()["points"]["indexed"] == 1
+        idx.refresh()
+        assert idx.stats()["points"]["indexed"] == 0
+        with pytest.raises(KeyError):
+            idx.point("vggnet", 850.0, board=0)

@@ -308,11 +308,13 @@ class TestQueryCommand:
         from repro.cli import _cmd_serve
 
         args = build_parser().parse_args(
-            ["serve", "--port", "0", "--compute", "--cache-dir", "somewhere",
-             "--lru-capacity", "16"]
+            ["serve", "--port", "0", "--compute", "--cache-dir", "somewhere"]
         )
         assert args.func is _cmd_serve
-        assert args.port == 0 and args.compute and args.lru_capacity == 16
+        assert args.port == 0 and args.compute
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--lru-capacity", "16"])
+        assert excinfo.value.code == 2
 
     def test_query_miss_is_a_clean_error_not_a_traceback(self, tmp_path, capsys):
         code = main(
