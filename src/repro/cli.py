@@ -364,7 +364,8 @@ def _cmd_fleet(args) -> int:
 def _cmd_query(args) -> int:
     import json
 
-    from repro.query import open_index, to_json
+    from repro.query import open_index
+    from repro.serve import render_response
 
     config = _config_from_args(args)
     index = open_index(args.cache_dir, config=config)
@@ -376,45 +377,30 @@ def _cmd_query(args) -> int:
 
         print(render_characterization_report(index, benchmark=args.benchmark))
         return 0
-    try:
-        if args.what == "stats":
-            payload = index.stats()
-        elif args.what == "points":
-            if args.benchmark is None:
-                print("error: --benchmark is required for 'points' queries")
-                return 2
-            if args.v_mv is not None:
-                payload = index.point(
-                    args.benchmark, args.v_mv, variant=args.variant,
-                    board=args.board or 0, mode=args.mode, compute=args.compute,
-                )
-            else:
-                payload = index.points(
-                    args.benchmark, variant=args.variant, board=args.board or 0
-                )
-        elif args.what == "landmarks":
-            payload = {
-                "landmarks": index.landmarks(
-                    benchmark=args.benchmark, variant=args.variant,
-                    board=args.board, compute=args.compute,
-                )
-            }
-        else:  # guardband
-            payload = {
-                "guardband": index.guardband(
-                    benchmark=args.benchmark, variant=args.variant
-                )
-            }
-    except (KeyError, ValueError) as exc:
+    if args.what == "points" and args.benchmark is None:
+        print("error: --benchmark is required for 'points' queries")
+        return 2
+    # The flags become the HTTP endpoint's query parameters, so the CLI
+    # and ``serve`` answer through one mapping onto the index.
+    flags = {
+        "benchmark": args.benchmark,
+        "variant": args.variant,
+        "board": args.board,
+        "v_mv": args.v_mv,
+        "mode": args.mode,
+        "compute": "1" if args.compute else None,
+    }
+    params = {name: [str(value)] for name, value in flags.items() if value is not None}
+    status, body = render_response(index, True, f"/{args.what}", params)
+    if status != 200:
         # A miss or an ambiguous filter is an answer, not a crash: the
-        # same errors the HTTP layer maps to 404/400.
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}")
+        # same error body the HTTP layer serves as a 404/400.
+        print(f"error: {json.loads(body)['error']}")
         return 1
     if args.pretty:
-        print(json.dumps(json.loads(to_json(payload)), indent=2, sort_keys=True))
+        print(json.dumps(json.loads(body), indent=2, sort_keys=True))
     else:
-        print(to_json(payload))
+        print(body.decode("utf-8"))
     return 0
 
 

@@ -10,9 +10,9 @@ fixed config/version), so this module gives it a durable home:
 * :class:`BlobStore` — a content-addressed store of ``.npy`` array blobs
   under ``<cache>/blobs/``.  An array's key is the hash of its dtype,
   shape, and bytes, so identical arrays written by racing workers land on
-  the same file; writes go through the same temp-file-plus-rename
-  crash-safety every other on-disk store uses
-  (:func:`repro.runtime.cache.atomic_write_text`'s contract), and reads
+  the same file; writes go through
+  :func:`repro.runtime.cache.atomic_write_text`, the temp-file-plus-rename
+  primitive every other on-disk store uses, and reads
   come back **memory-mapped**, so N workers on one host share a single
   page-cache copy of each weight tensor instead of N heap copies.
 * **Manifests** — small JSON documents keyed by a caller-supplied name
@@ -32,9 +32,9 @@ duration of a work unit, exactly like
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-import tempfile
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -113,18 +113,12 @@ class BlobStore:
         path = self.array_path(key)
         if path.exists():
             return key
+        from repro.runtime.cache import atomic_write_text
+
         self._ensure_root()
-        fd, tmp_name = tempfile.mkstemp(dir=str(self.root), prefix=f".{key}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.save(handle, array)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        buffer = io.BytesIO()
+        np.save(buffer, array)
+        atomic_write_text(path, buffer.getbuffer())
         self.stats.stores += 1
         return key
 

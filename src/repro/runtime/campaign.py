@@ -14,10 +14,11 @@ experiment it:
    executor, so a campaign saturates ``--jobs`` workers even when its
    experiments shard unevenly;
 3. finalizes each experiment the moment its last shard lands: merges the
-   shard results in canonical order (bit-identical to a serial run),
-   normalizes them through the cache's JSON codec, stores them back, and
-   marks the unit completed in the :class:`CampaignJournal` (if one is
-   attached).
+   shard results in canonical order (bit-identical to a serial run) and
+   commits them through the :class:`CampaignLedger` — normalized by the
+   cache's JSON codec, stored back, and marked completed in the
+   :class:`CampaignJournal` (if one is attached).  The distributed
+   coordinator commits through the same ledger.
 
 Durability is layered: finished experiments live in the result cache,
 partially finished sweeps live point-by-point in the per-point store
@@ -46,7 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.core.experiment import ExperimentConfig
 from repro.experiments.registry import ExperimentResult, get_spec, run_unit
-from repro.runtime.cache import ResultCache, normalize_result
+from repro.runtime.cache import CacheHit, ResultCache, normalize_result
 from repro.runtime.executor import TaskOutcome, run_tasks, run_tasks_threaded
 from repro.runtime.fabric import WorkerFabric, active_fabric
 from repro.runtime.hashing import config_fingerprint
@@ -171,6 +172,74 @@ class CampaignOutcome:
         raise KeyError(f"no campaign entry for {experiment_id!r}")
 
 
+class CampaignLedger:
+    """One campaign's commit rule: fingerprints, journal plan, replay, commit.
+
+    Binds the ordered unit ids to the config, result cache and journal
+    (either may be ``None``; so is the campaign id without a journal).
+    :meth:`commit` normalizes, stores, then journals, so a journaled
+    completion always has its result on disk.  The local campaign
+    runner and the distributed coordinator both commit through here, so
+    a coordinated campaign journals exactly like a local one.
+    """
+
+    def __init__(
+        self,
+        unit_ids: Sequence[str],
+        config: ExperimentConfig,
+        cache: ResultCache | None = None,
+        journal: CampaignJournal | None = None,
+    ):
+        self.unit_ids = list(unit_ids)
+        self.config = config
+        self.cache = cache
+        self.journal = journal
+        self.fingerprints = {u: config_fingerprint(u, config) for u in self.unit_ids}
+        self.campaign_id = (
+            campaign_fingerprint(self.unit_ids, config) if journal is not None else None
+        )
+
+    def begin(self, resume: bool = False) -> None:
+        """Journal the campaign's unit plan (see :meth:`CampaignJournal.begin`)."""
+        if self.journal is not None:
+            plan = [(u, self.fingerprints[u]) for u in self.unit_ids]
+            self.journal.begin(self.campaign_id, plan, resume=resume)
+
+    def replay(self, unit_id: str) -> CacheHit | None:
+        """The unit's cached result, journaled as a hit; ``None`` on a miss."""
+        if self.cache is None:
+            return None
+        hit = self.cache.load(self.fingerprints[unit_id], unit_id)
+        if hit is not None:
+            self._record(unit_id, cache_hit=True, wall_s=hit.wall_s)
+        return hit
+
+    def commit(self, unit_id: str, result: ExperimentResult, wall_s: float) -> ExperimentResult:
+        """Normalize, store and journal one fresh result; returns the normalized one."""
+        result = normalize_result(result)
+        if self.cache is not None:
+            self.cache.store(self.fingerprints[unit_id], unit_id, self.config, result, wall_s)
+        self._record(unit_id, cache_hit=False, wall_s=wall_s)
+        return result
+
+    def quarantine(self, unit_id: str, error: str) -> None:
+        """Journal one unit the campaign gave up on (terminal)."""
+        if self.journal is not None:
+            self.journal.record_quarantine(
+                self.campaign_id, self.fingerprints[unit_id], unit_id=unit_id, error=error
+            )
+
+    def last_run(self) -> dict | None:
+        """This run's resume accounting (``None`` without a journal)."""
+        return self.journal.last_run(self.campaign_id) if self.journal is not None else None
+
+    def _record(self, unit_id: str, cache_hit: bool, wall_s: float) -> None:
+        if self.journal is not None:
+            self.journal.record_unit(
+                self.campaign_id, self.fingerprints[unit_id], cache_hit=cache_hit, wall_s=wall_s
+            )
+
+
 #: One cacheable request: its cache/unit id, a thunk producing the
 #: executor tasks, and a merge over the per-task results.
 _Request = tuple[str, Callable[[], list], Callable[[list], ExperimentResult]]
@@ -179,11 +248,10 @@ _Request = tuple[str, Callable[[], list], Callable[[list], ExperimentResult]]
 class _PendingUnit:
     """One cache-missed request, finalized as soon as its tasks land."""
 
-    __slots__ = ("unit_id", "fingerprint", "tasks", "merge", "outcomes", "remaining", "entry")
+    __slots__ = ("unit_id", "tasks", "merge", "outcomes", "remaining", "entry")
 
-    def __init__(self, unit_id: str, fingerprint: str, tasks: list, merge: Callable):
+    def __init__(self, unit_id: str, tasks: list, merge: Callable):
         self.unit_id = unit_id
-        self.fingerprint = fingerprint
         self.tasks = tasks
         self.merge = merge
         self.outcomes: list[TaskOutcome | None] = [None] * len(tasks)
@@ -238,48 +306,37 @@ class _CampaignRun:
         resume: bool = False,
         threads: int = 0,
     ) -> CampaignOutcome:
-        """The shared cache-consult / fan-out / merge / store sequence.
+        """The shared cache-consult / fan-out / merge / commit sequence.
 
         Every campaign kind reduces to this: tasks from *all* cache
         misses run through one executor pass, so the pool stays saturated
         across request boundaries, and every entry records the same
-        provenance either way.  Each unit is finalized — merged,
-        normalized, stored, journaled — the moment its last task
-        completes, so an interrupted campaign leaves every finished unit
-        durable on disk rather than losing the whole batch.  With
-        ``threads > 0`` the tasks are dispatchers that carry the fabric
-        themselves and run on parent threads instead of the pool.
+        provenance either way.  Each unit is finalized — merged, then
+        committed through the :class:`CampaignLedger` — the moment its
+        last task completes, so an interrupted campaign leaves every
+        finished unit durable on disk rather than losing the whole batch.
+        With ``threads > 0`` the tasks are dispatchers that carry the
+        fabric themselves and run on parent threads instead of the pool.
         """
-        config, cache = self.config, self.cache
-        fingerprints = {unit_id: config_fingerprint(unit_id, config) for unit_id, _, _ in requests}
-        campaign_id = None
-        if journal is not None:
-            unit_ids = [unit_id for unit_id, _, _ in requests]
-            campaign_id = campaign_fingerprint(unit_ids, config)
-            journal.begin(campaign_id, [(u, fingerprints[u]) for u in unit_ids], resume=resume)
-
-        def journal_unit(fingerprint: str, cache_hit: bool, wall_s: float) -> None:
-            if journal is not None:
-                journal.record_unit(campaign_id, fingerprint, cache_hit=cache_hit, wall_s=wall_s)
+        ledger = CampaignLedger([u for u, _, _ in requests], self.config, self.cache, journal)
+        ledger.begin(resume)
 
         entries: dict[str, CampaignEntry] = {}
         pending: list[_PendingUnit] = []
         for unit_id, make_tasks, merge in requests:
-            fingerprint = fingerprints[unit_id]
-            hit = cache.load(fingerprint, unit_id) if cache is not None else None
+            hit = ledger.replay(unit_id)
             if hit is not None:
                 entries[unit_id] = CampaignEntry(
                     experiment_id=unit_id,
-                    fingerprint=fingerprint,
+                    fingerprint=ledger.fingerprints[unit_id],
                     result=hit.result,
                     cache_hit=True,
                     wall_s=hit.wall_s,
                     n_shards=0,
                     worker="cache",
                 )
-                journal_unit(fingerprint, cache_hit=True, wall_s=hit.wall_s)
             else:
-                pending.append(_PendingUnit(unit_id, fingerprint, make_tasks(), merge))
+                pending.append(_PendingUnit(unit_id, make_tasks(), merge))
 
         flat: list = []
         owner: list[tuple[_PendingUnit, int]] = []
@@ -290,20 +347,16 @@ class _CampaignRun:
 
         def finalize(unit: _PendingUnit) -> None:
             mine = [o for o in unit.outcomes if o is not None]
-            merged = normalize_result(unit.merge([o.value for o in mine]))
             wall_s = sum(o.wall_s for o in mine)
-            if cache is not None:
-                cache.store(unit.fingerprint, unit.unit_id, config, merged, wall_s)
             unit.entry = CampaignEntry(
                 experiment_id=unit.unit_id,
-                fingerprint=unit.fingerprint,
-                result=merged,
+                fingerprint=ledger.fingerprints[unit.unit_id],
+                result=ledger.commit(unit.unit_id, unit.merge([o.value for o in mine]), wall_s),
                 cache_hit=False,
                 wall_s=wall_s,
                 n_shards=len(unit.tasks),
                 worker=mine[0].worker if mine else "serial",
             )
-            journal_unit(unit.fingerprint, cache_hit=False, wall_s=wall_s)
 
         def on_complete(flat_index: int, outcome: TaskOutcome) -> None:
             unit, local_index = owner[flat_index]
@@ -332,10 +385,10 @@ class _CampaignRun:
             entries[unit.unit_id] = unit.entry
         return CampaignOutcome(
             entries=tuple(entries[unit_id] for unit_id, _, _ in requests),
-            config=config,
+            config=self.config,
             jobs=self.jobs,
-            campaign_id=campaign_id,
-            journal_stats=journal.last_run(campaign_id) if journal is not None else None,
+            campaign_id=ledger.campaign_id,
+            journal_stats=ledger.last_run(),
         )
 
 
@@ -344,7 +397,6 @@ def run_campaign(
     config: ExperimentConfig | None = None,
     plan: ExecutionPlan | None = None,
     cache: ResultCache | None = None,
-    shard: bool = True,
     journal: CampaignJournal | None = None,
     resume: bool = False,
     fabric: WorkerFabric | None = None,
@@ -378,7 +430,7 @@ def run_campaign(
         # Sharding only pays when there is a pool to spread shards over;
         # the serial path keeps the historical one-call-per-experiment
         # shape by construction.
-        shard = shard and run.jobs > 1
+        shard = run.jobs > 1
 
         def request_for(exp_id: str) -> _Request:
             def make_tasks() -> list:

@@ -41,10 +41,11 @@ coordinator never connects out):
     locally.  The coordinator validates and writes the point entries
     **verbatim** (byte-identity with a single-host run holds by
     construction: entries are deterministic, and the first writer's
-    bytes are kept), normalizes and stores the result, and journals the
-    completion.  Duplicate completions — two workers racing one unit,
-    or a lease that expired and was re-leased before the original
-    worker finished — are answered ``duplicate`` and change nothing.
+    bytes are kept), then commits the result through the campaign's
+    :class:`~repro.runtime.campaign.CampaignLedger`.  Duplicate
+    completions — two workers racing one unit, or a lease that expired
+    and was re-leased before the original worker finished — are
+    answered ``duplicate`` and change nothing.
 
 ``GET /blobs`` / ``GET /blobs/<name>``
     The coordinator's model plane, served read-only so a cold worker
@@ -58,6 +59,11 @@ elsewhere", never to a stuck campaign.  Results are deterministic, so a
 late completion from a worker presumed dead is either a duplicate
 (discarded) or indistinguishable from the re-lease's answer.
 
+The coordinator never writes the result cache or the journal itself:
+it opens, replays, commits and quarantines through the
+:class:`~repro.runtime.campaign.CampaignLedger` a local campaign run
+uses, so the two journal identically.
+
 All mutating handlers run inline on the event loop — the coordinator is
 a control plane, not a data plane, and single-threaded merge order is
 the simplest correctness argument for the journal and cache writes.
@@ -70,14 +76,10 @@ import re
 import time
 
 from repro.core.experiment import ExperimentConfig
-from repro.runtime.cache import (
-    ResultCache,
-    atomic_write_text,
-    normalize_result,
-    result_from_payload,
-)
-from repro.runtime.hashing import config_fingerprint, current_version
-from repro.runtime.journal import CampaignJournal, campaign_fingerprint
+from repro.runtime.cache import ResultCache, atomic_write_text, result_from_payload
+from repro.runtime.campaign import CampaignLedger, resolve_campaign, sweep_unit_id
+from repro.runtime.hashing import current_version
+from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
 from repro.runtime.plan import ExecutionPlan, config_to_wire
 from repro.runtime.wire import (
     HttpService,
@@ -118,28 +120,21 @@ COORDINATOR_READ_TIMEOUT_S = 10.0
 _BLOB_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
-def resolve_work_units(targets, config: ExperimentConfig) -> list[dict]:
+def resolve_work_units(targets) -> list[dict]:
     """Expand CLI targets into the coordinator's ordered unit list.
 
     Each target is either a sweep spec — ``sweep:<benchmark>`` (board
     0) or ``sweep:<benchmark>:board<N>`` — or anything
     :func:`~repro.runtime.campaign.resolve_campaign` accepts (campaign
     set names, ``all``, explicit experiment ids).  Every unit is a wire
-    dict carrying its kind, unit id, and fingerprint under ``config``;
-    duplicates collapse, order is preserved.  Unknown experiment ids
-    fail here, before any worker connects.
+    dict carrying its kind and unit id (the coordinator stamps each
+    unit's fingerprint from its ledger); duplicates collapse, order is
+    preserved.  Unknown experiment ids fail here, before any worker
+    connects.
     """
     from repro.experiments.registry import get_spec
-    from repro.runtime.campaign import resolve_campaign, sweep_unit_id
 
-    units: list[dict] = []
-    seen: set[str] = set()
-
-    def add(unit: dict) -> None:
-        if unit["unit_id"] not in seen:
-            seen.add(unit["unit_id"])
-            units.append(unit)
-
+    units: dict[str, dict] = {}  # unit id -> wire dict; first wins
     for target in targets:
         if target.startswith("sweep:"):
             parts = target.split(":")
@@ -154,27 +149,17 @@ def resolve_work_units(targets, config: ExperimentConfig) -> list[dict]:
                     f"'sweep:<benchmark>:board<N>', got {target!r}"
                 )
             unit_id = sweep_unit_id(benchmark, board)
-            add(
-                {
-                    "kind": "sweep",
-                    "unit_id": unit_id,
-                    "benchmark": benchmark,
-                    "board": board,
-                    "fingerprint": config_fingerprint(unit_id, config),
-                }
+            units.setdefault(
+                unit_id,
+                {"kind": "sweep", "unit_id": unit_id, "benchmark": benchmark, "board": board},
             )
         else:
             for exp_id in resolve_campaign((target,)):
                 get_spec(exp_id)  # fail fast on unknown ids
-                add(
-                    {
-                        "kind": "experiment",
-                        "unit_id": exp_id,
-                        "experiment_id": exp_id,
-                        "fingerprint": config_fingerprint(exp_id, config),
-                    }
+                units.setdefault(
+                    exp_id, {"kind": "experiment", "unit_id": exp_id, "experiment_id": exp_id}
                 )
-    return units
+    return list(units.values())
 
 
 class LeaseBoard:
@@ -393,12 +378,13 @@ class LeaseBoard:
 class CampaignCoordinator(HttpService):
     """Asyncio HTTP server distributing one campaign as leased work.
 
-    One instance owns the campaign's :class:`LeaseBoard`, the cache it
-    merges results into, and (optionally) the journal recording
-    completions.  Boot consults the cache first — already-cached units
-    never reach a worker — then serves ``/lease`` / ``/complete`` until
-    the board drains, lingers ``linger_s`` so late pollers see
-    ``done``, and stops.  The server lifecycle is the shared
+    One instance owns the campaign's :class:`LeaseBoard` and the
+    :class:`~repro.runtime.campaign.CampaignLedger` it commits through
+    (over the cache directory's own journal unless one is passed).
+    Boot consults the cache first — already-cached units never reach a
+    worker — then serves ``/lease`` / ``/complete`` until the board
+    drains, lingers ``linger_s`` so late pollers see ``done``, and
+    stops.  The server lifecycle is the shared
     :class:`~repro.runtime.wire.HttpService`; this class adds a
     ``(method, path)`` route table and its handlers.
     """
@@ -432,10 +418,20 @@ class CampaignCoordinator(HttpService):
         self.config = config
         self.plan = plan or ExecutionPlan()
         self.cache = cache
-        self.journal = journal
+        self.ledger = CampaignLedger(
+            [unit["unit_id"] for unit in units],
+            config,
+            cache,
+            journal or CampaignJournal(cache.root / JOURNAL_NAME),
+        )
+        self.journal = self.ledger.journal
+        self.campaign_id = self.ledger.campaign_id
         self.resume = bool(resume)
         self.linger_s = float(linger_s)
-        self.units = list(units)
+        # Leases ship each unit's fingerprint, taken from the ledger.
+        self.units = [
+            {**unit, "fingerprint": self.ledger.fingerprints[unit["unit_id"]]} for unit in units
+        ]
         self.board = LeaseBoard(
             self.units,
             ttl_s=lease_ttl_s,
@@ -443,8 +439,6 @@ class CampaignCoordinator(HttpService):
             quarantine_strikes=quarantine_strikes,
         )
         self._journaled_quarantines: set[str] = set()
-        self.campaign_id = campaign_fingerprint([unit["unit_id"] for unit in self.units], config)
-        self._fingerprints = {unit["unit_id"]: unit["fingerprint"] for unit in self.units}
         self._results_merged = 0
         self._points_written = 0
         self._points_skipped = 0
@@ -469,26 +463,15 @@ class CampaignCoordinator(HttpService):
     async def on_start(self) -> None:
         """Journal the unit plan and pre-complete every cache hit.
 
-        Runs once before the listener accepts: cached units are
-        journaled (``resumed`` when the journal saw them complete
-        before, ``cached`` otherwise) and marked completed on the
-        board, so workers only ever see genuinely unfinished work.
+        Runs once before the listener accepts: the ledger replays each
+        cached unit (journaled ``resumed`` when the journal saw it
+        complete before, ``cached`` otherwise) and the board marks it
+        completed, so workers only ever see genuinely unfinished work.
         """
-        if self.journal is not None:
-            self.journal.begin(
-                self.campaign_id,
-                [(unit["unit_id"], unit["fingerprint"]) for unit in self.units],
-                resume=self.resume,
-            )
-        for unit in self.units:
-            hit = self.cache.load(unit["fingerprint"], unit["unit_id"])
-            if hit is None:
-                continue
-            self.board.mark_completed(unit["unit_id"])
-            if self.journal is not None:
-                self.journal.record_unit(
-                    self.campaign_id, unit["fingerprint"], cache_hit=True, wall_s=hit.wall_s
-                )
+        self.ledger.begin(self.resume)
+        for unit_id in self.ledger.unit_ids:
+            if self.ledger.replay(unit_id) is not None:
+                self.board.mark_completed(unit_id)
         self._arm_linger_if_done()
 
     def banner(self) -> str:
@@ -546,13 +529,7 @@ class CampaignCoordinator(HttpService):
                     f"quarantined {unit_id} after {info['strikes']} strikes",
                     flush=True,
                 )
-            if self.journal is not None:
-                self.journal.record_quarantine(
-                    self.campaign_id,
-                    self._fingerprints[unit_id],
-                    unit_id=unit_id,
-                    error=info["error"] or "",
-                )
+            self.ledger.quarantine(unit_id, info["error"] or "")
         self._arm_linger_if_done()
 
     def _arm_linger_if_done(self) -> None:
@@ -640,7 +617,7 @@ class CampaignCoordinator(HttpService):
         payload = _json_body(request)
         unit_id = payload.get("unit_id")
         fingerprint = payload.get("fingerprint")
-        expected = self._fingerprints.get(unit_id)
+        expected = self.ledger.fingerprints.get(unit_id)
         if expected is None:
             error = {"status": "unknown", "error": f"unknown unit {unit_id!r}"}
             return Response(409, json_bytes(error))
@@ -656,7 +633,7 @@ class CampaignCoordinator(HttpService):
             return Response(409, json_bytes(error))
         verdict = self.board.complete(unit_id, payload.get("lease_id"))
         if verdict == "accepted":
-            self._merge(unit_id, fingerprint, payload)
+            self._merge(unit_id, payload)
             self._arm_linger_if_done()
         return {"status": verdict, "done": self.board.done()}
 
@@ -683,15 +660,15 @@ class CampaignCoordinator(HttpService):
         self._sync_quarantines()
         return {"status": verdict, "done": self.board.done()}
 
-    def _merge(self, unit_id: str, fingerprint: str, payload: dict) -> None:
+    def _merge(self, unit_id: str, payload: dict) -> None:
         """Write one accepted completion through to the local stores.
 
         Point entries ship as raw file text and are written verbatim
         (if absent) after validation, so the merged store is
         byte-identical to one a single-host run would produce; the
-        result goes through the same normalize/store path a local
-        campaign run uses, and the journal classifies the unit exactly as
-        a local recompute (``recomputed`` when a prior run had completed
+        result is committed through the ledger a local campaign run
+        commits through, so the journal classifies the unit exactly as a
+        local recompute (``recomputed`` when a prior run had completed
         it, ``fresh`` otherwise).
         """
         for point_fp, text in (payload.get("points") or {}).items():
@@ -699,12 +676,9 @@ class CampaignCoordinator(HttpService):
                 self._points_written += 1
             else:
                 self._points_skipped += 1
-        result = normalize_result(result_from_payload(payload["result"]))
-        wall_s = float(payload.get("wall_s", 0.0))
-        self.cache.store(fingerprint, unit_id, self.config, result, wall_s)
+        result = result_from_payload(payload["result"])
+        self.ledger.commit(unit_id, result, float(payload.get("wall_s", 0.0)))
         self._results_merged += 1
-        if self.journal is not None:
-            self.journal.record_unit(self.campaign_id, fingerprint, cache_hit=False, wall_s=wall_s)
 
     def _write_point(self, unit_id: str, point_fp: str, text: str) -> bool:
         """Validate one shipped point entry and write it verbatim if new."""
@@ -749,7 +723,6 @@ def make_coordinator(
     plan: ExecutionPlan | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
-    journal: bool = True,
     resume: bool = False,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     linger_s: float = DEFAULT_LINGER_S,
@@ -758,18 +731,12 @@ def make_coordinator(
     quiet: bool = True,
 ) -> CampaignCoordinator:
     """Build an unstarted coordinator for CLI targets over one cache dir."""
-    from repro.runtime.journal import JOURNAL_NAME
-
-    config = config or ExperimentConfig()
-    cache = ResultCache(cache_dir)
-    units = resolve_work_units(targets, config)
     return CampaignCoordinator(
         (host, port),
-        units,
-        config,
+        resolve_work_units(targets),
+        config or ExperimentConfig(),
         plan=plan,
-        cache=cache,
-        journal=CampaignJournal(cache.root / JOURNAL_NAME) if journal else None,
+        cache=ResultCache(cache_dir),
         resume=resume,
         lease_ttl_s=lease_ttl_s,
         linger_s=linger_s,

@@ -8,9 +8,10 @@ plain data (id, key, config), so they cross process boundaries trivially;
 the callable is resolved from the registry inside the worker.
 
 Below the scheduling atom sits the *caching* atom: a sweep-shaped unit
-decomposes further into voltage points, each cached individually under
-the owning experiment's scope (``WorkUnit.point_scope``) by
-:mod:`repro.runtime.points`.
+decomposes further into voltage points, each cached individually by
+:mod:`repro.runtime.points` under the owning experiment's id alone —
+never the shard key, because how the planner cut the experiment
+(``jobs``) is an execution detail and must not move cache keys.
 The planner never enumerates points up front — a sweep discovers its
 point set as it runs (the crash voltage, and for the adaptive strategy
 the bisection path, are not known a priori) — but every point it does
@@ -49,17 +50,6 @@ class WorkUnit:
         if self.shard_key is None:
             return self.experiment_id
         return f"{self.experiment_id}[{'/'.join(str(k) for k in self.shard_key)}]"
-
-    @property
-    def point_scope(self) -> str:
-        """Per-point cache scope: the experiment id alone.
-
-        Deliberately shard-independent — how the planner cut the
-        experiment (``jobs``) is an execution detail, and execution
-        details never move cache keys.  A point's shard identity lives
-        in its context (benchmark, board, ...) instead.
-        """
-        return self.experiment_id
 
 
 def plan_units(experiment_id: str, config: ExperimentConfig, shard: bool = True) -> list[WorkUnit]:

@@ -123,7 +123,7 @@ class TestLeaseBoard:
 
 class TestResolveWorkUnits:
     def test_sweep_specs_and_experiments_mix(self):
-        units = resolve_work_units(["sweep:vggnet:board1", "table1", "sweep:vggnet"], CFG)
+        units = resolve_work_units(["sweep:vggnet:board1", "table1", "sweep:vggnet"])
         assert [u["unit_id"] for u in units] == [
             "sweep:vggnet:board1",
             "table1",
@@ -131,19 +131,20 @@ class TestResolveWorkUnits:
         ]
         assert units[0]["kind"] == "sweep" and units[0]["board"] == 1
         assert units[1]["kind"] == "experiment"
-        assert all(u["fingerprint"] for u in units)
+        # Fingerprints are the coordinator's ledger's to stamp.
+        assert not any("fingerprint" in u for u in units)
 
     def test_duplicates_collapse(self):
-        units = resolve_work_units(["table1", "table1", "sweep:vggnet", "sweep:vggnet:board0"], CFG)
+        units = resolve_work_units(["table1", "table1", "sweep:vggnet", "sweep:vggnet:board0"])
         assert [u["unit_id"] for u in units] == ["table1", "sweep:vggnet:board0"]
 
     def test_unknown_experiment_fails_fast(self):
         with pytest.raises(KeyError):
-            resolve_work_units(["not-an-experiment"], CFG)
+            resolve_work_units(["not-an-experiment"])
 
     def test_malformed_sweep_spec_fails_fast(self):
         with pytest.raises(ValueError):
-            resolve_work_units(["sweep:vggnet:b0rd0"], CFG)
+            resolve_work_units(["sweep:vggnet:b0rd0"])
 
 
 def _start_coordinator(tmp_path, targets, **kwargs):
@@ -413,6 +414,57 @@ class TestTwoWorkerByteIdentity:
 
         run = coordinator.journal.last_run(coordinator.campaign_id)
         assert run["completed"] == 2 and run["recomputed"] == 0
+
+
+class TestLedgerParity:
+    """A coordinated campaign commits through the local runner's ledger,
+    so it journals exactly like the same campaign run on one host."""
+
+    TARGETS = ["sweep:vggnet:board0", "sweep:vggnet:board1"]
+
+    @staticmethod
+    def _local(tmp_path):
+        from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
+
+        cache = ResultCache(tmp_path / "local")
+        journal = CampaignJournal(cache.root / JOURNAL_NAME)
+        return run_sweep_campaign("vggnet", [0, 1], CFG, cache=cache, journal=journal), journal
+
+    @staticmethod
+    def _units(journal, campaign_id):
+        units = journal.campaign(campaign_id)["units"]
+        return {fp: (u["unit"], u["status"], u["outcome"]) for fp, u in units.items()}
+
+    def test_coordinated_campaign_journals_like_a_local_one(self, tmp_path):
+        local, local_journal = self._local(tmp_path)
+        coordinator, thread, url = _start_coordinator(tmp_path, self.TARGETS)
+        run_worker(url, tmp_path / "w", worker_id="w", poll_s=0.05)
+        thread.join(timeout=60)
+        assert coordinator.drained
+
+        assert coordinator.campaign_id == local.campaign_id
+        remote_units = self._units(coordinator.journal, coordinator.campaign_id)
+        assert remote_units == self._units(local_journal, local.campaign_id)
+        assert [status for _, status, _ in remote_units.values()] == ["completed"] * 2
+        assert coordinator.journal.last_run(coordinator.campaign_id) == local.journal_stats
+
+    def test_quarantine_is_journaled_under_the_ledger_fingerprint(self, tmp_path):
+        local, _ = self._local(tmp_path)
+        coordinator, thread, url = _start_coordinator(
+            tmp_path, self.TARGETS, quarantine_strikes=1
+        )
+        client = CoordinatorClient(url)
+        try:
+            lease = client.lease("doomed")
+            unit_id = lease["unit"]["unit_id"]
+            assert client.fail(unit_id, lease["lease_id"], "boom")["status"] == "quarantined"
+        finally:
+            coordinator.shutdown()
+            thread.join(timeout=10)
+        fingerprint = coordinator.ledger.fingerprints[unit_id]
+        assert fingerprint == lease["unit"]["fingerprint"] == local.entry(unit_id).fingerprint
+        unit = coordinator.journal.campaign(coordinator.campaign_id)["units"][fingerprint]
+        assert unit["status"] == "quarantined" and unit["unit"] == unit_id
 
 
 class TestWorkerShipsOnlyTheLeasedConfig:
