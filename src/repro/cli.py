@@ -364,8 +364,8 @@ def _cmd_fleet(args) -> int:
 def _cmd_query(args) -> int:
     import json
 
-    from repro.query import open_index
-    from repro.serve import render_response
+    from repro.query import open_index, to_json
+    from repro.serve import answer_query
 
     config = _config_from_args(args)
     index = open_index(args.cache_dir, config=config)
@@ -382,25 +382,22 @@ def _cmd_query(args) -> int:
         return 2
     # The flags become the HTTP endpoint's query parameters, so the CLI
     # and ``serve`` answer through one mapping onto the index.
-    flags = {
-        "benchmark": args.benchmark,
-        "variant": args.variant,
-        "board": args.board,
-        "v_mv": args.v_mv,
-        "mode": args.mode,
-        "compute": "1" if args.compute else None,
-    }
+    flags = dict(benchmark=args.benchmark, variant=args.variant, board=args.board,
+                 v_mv=args.v_mv, mode=args.mode, compute="1" if args.compute else None)
     params = {name: [str(value)] for name, value in flags.items() if value is not None}
-    status, body = render_response(index, True, f"/{args.what}", params)
-    if status != 200:
+    try:
+        payload = answer_query(index, True, f"/{args.what}", params)
+    except (KeyError, ValueError) as exc:
         # A miss or an ambiguous filter is an answer, not a crash: the
-        # same error body the HTTP layer serves as a 404/400.
-        print(f"error: {json.loads(body)['error']}")
+        # same errors the HTTP layer maps to 404/400.  Anything else is
+        # a bug and raises with its traceback.
+        message = exc.args[0] if exc.args else str(exc)
+        print(f"error: {message}")
         return 1
     if args.pretty:
-        print(json.dumps(json.loads(body), indent=2, sort_keys=True))
+        print(json.dumps(json.loads(to_json(payload)), indent=2, sort_keys=True))
     else:
-        print(body.decode("utf-8"))
+        print(to_json(payload))
     return 0
 
 

@@ -11,7 +11,7 @@ fixed config/version), so this module gives it a durable home:
   under ``<cache>/blobs/``.  An array's key is the hash of its dtype,
   shape, and bytes, so identical arrays written by racing workers land on
   the same file; writes go through
-  :func:`repro.runtime.cache.atomic_write_text`, the temp-file-plus-rename
+  :func:`repro.runtime.cache.atomic_open`, the temp-file-plus-rename
   primitive every other on-disk store uses, and reads
   come back **memory-mapped**, so N workers on one host share a single
   page-cache copy of each weight tensor instead of N heap copies.
@@ -32,7 +32,6 @@ duration of a work unit, exactly like
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from contextlib import contextmanager, nullcontext
@@ -113,12 +112,12 @@ class BlobStore:
         path = self.array_path(key)
         if path.exists():
             return key
-        from repro.runtime.cache import atomic_write_text
+        from repro.runtime.cache import atomic_open
 
         self._ensure_root()
-        buffer = io.BytesIO()
-        np.save(buffer, array)
-        atomic_write_text(path, buffer.getbuffer())
+        # Streamed straight into the temp file: no in-memory copy of the array.
+        with atomic_open(path) as handle:
+            np.save(handle, array)
         self.stats.stores += 1
         return key
 

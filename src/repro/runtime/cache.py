@@ -19,6 +19,7 @@ import json
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,20 +48,21 @@ def _dumps(payload) -> str:
     return json.dumps(payload, default=_jsonable)
 
 
-def atomic_write_text(path: Path, text: str | bytes | memoryview) -> None:
-    """Crash-safe file replace: write a sibling temp file, then rename.
+@contextmanager
+def atomic_open(path: Path, mode: str = "wb"):
+    """Crash-safe file replace: yield a sibling temp file, then rename it.
 
     The one write primitive the on-disk stores share (experiment entries,
     voltage points, the campaign journal, model blobs): a reader never
     sees a torn file, and a crash mid-write leaves the previous content
-    intact — the property the resume machinery is built on.  ``str`` is
-    written as text, bytes-like content verbatim.
+    intact — the property the resume machinery is built on.  If the
+    ``with`` body raises, the temp file is removed and ``path`` kept.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w" if isinstance(text, str) else "wb") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode) as handle:
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -68,6 +70,12 @@ def atomic_write_text(path: Path, text: str | bytes | memoryview) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: Path, text: str | bytes) -> None:
+    """:func:`atomic_open` for whole content: ``str`` as text, ``bytes`` verbatim."""
+    with atomic_open(path, "w" if isinstance(text, str) else "wb") as handle:
+        handle.write(text)
 
 
 def result_to_payload(result: ExperimentResult) -> dict:

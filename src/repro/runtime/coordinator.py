@@ -379,8 +379,8 @@ class CampaignCoordinator(HttpService):
     """Asyncio HTTP server distributing one campaign as leased work.
 
     One instance owns the campaign's :class:`LeaseBoard` and the
-    :class:`~repro.runtime.campaign.CampaignLedger` it commits through
-    (over the cache directory's own journal unless one is passed).
+    :class:`~repro.runtime.campaign.CampaignLedger` it commits through,
+    over the cache directory's own journal.
     Boot consults the cache first — already-cached units never reach a
     worker — then serves ``/lease`` / ``/complete`` until the board
     drains, lingers ``linger_s`` so late pollers see ``done``, and
@@ -396,7 +396,6 @@ class CampaignCoordinator(HttpService):
         config: ExperimentConfig,
         plan: ExecutionPlan | None = None,
         cache: ResultCache | None = None,
-        journal: CampaignJournal | None = None,
         resume: bool = False,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
         linger_s: float = DEFAULT_LINGER_S,
@@ -422,7 +421,7 @@ class CampaignCoordinator(HttpService):
             [unit["unit_id"] for unit in units],
             config,
             cache,
-            journal or CampaignJournal(cache.root / JOURNAL_NAME),
+            CampaignJournal(cache.root / JOURNAL_NAME),
         )
         self.journal = self.ledger.journal
         self.campaign_id = self.ledger.campaign_id

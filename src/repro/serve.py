@@ -218,6 +218,13 @@ _ROUTES = {
 }
 
 
+def answer_query(index: CharacterizationIndex, allow_compute: bool, path: str, params: dict):
+    """One endpoint's payload (shared with CLI ``query``); a miss raises ``KeyError``."""
+    if path not in _ROUTES:
+        raise KeyError(f"unknown endpoint {path!r}")
+    return _ROUTES[path](index, allow_compute, params)
+
+
 def render_response(
     index: CharacterizationIndex, allow_compute: bool, path: str, params: dict
 ) -> tuple[int, bytes]:
@@ -228,11 +235,8 @@ def render_response(
     so a coalesced failure is shared byte-identically by every waiter
     instead of escaping as an exception.
     """
-    handler = _ROUTES.get(path)
-    if handler is None:
-        return 404, to_json({"error": f"unknown endpoint {path!r}"}).encode("utf-8")
     try:
-        payload = handler(index, allow_compute, params)
+        payload = answer_query(index, allow_compute, path, params)
         return 200, to_json(payload).encode("utf-8")
     except PermissionError as exc:
         return 403, to_json({"error": str(exc)}).encode("utf-8")
@@ -548,6 +552,7 @@ __all__ = [
     "METRIC_COUNTER_NAMES",
     "METRIC_GAUGE_NAMES",
     "WINDOW_CACHEABLE_PATHS",
+    "answer_query",
     "etag_matches",
     "make_server",
     "render_response",

@@ -449,7 +449,8 @@ class TestLedgerParity:
         assert coordinator.journal.last_run(coordinator.campaign_id) == local.journal_stats
 
     def test_quarantine_is_journaled_under_the_ledger_fingerprint(self, tmp_path):
-        local, _ = self._local(tmp_path)
+        from repro.runtime.hashing import config_fingerprint
+
         coordinator, thread, url = _start_coordinator(
             tmp_path, self.TARGETS, quarantine_strikes=1
         )
@@ -462,7 +463,8 @@ class TestLedgerParity:
             coordinator.shutdown()
             thread.join(timeout=10)
         fingerprint = coordinator.ledger.fingerprints[unit_id]
-        assert fingerprint == lease["unit"]["fingerprint"] == local.entry(unit_id).fingerprint
+        # The fingerprint a local run caches and journals the unit under.
+        assert fingerprint == lease["unit"]["fingerprint"] == config_fingerprint(unit_id, CFG)
         unit = coordinator.journal.campaign(coordinator.campaign_id)["units"][fingerprint]
         assert unit["status"] == "quarantined" and unit["unit"] == unit_id
 

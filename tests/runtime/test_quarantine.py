@@ -106,15 +106,12 @@ class TestLeaseBoardQuarantine:
 class TestCoordinatorQuarantine:
     def _coordinator(self, tmp_path, strikes=2):
         from repro.runtime.cache import ResultCache
-        from repro.runtime.journal import JOURNAL_NAME
 
-        cache = ResultCache(tmp_path / "coord")
         return CampaignCoordinator(
             ("127.0.0.1", 0),
             _units(2),
             CFG,
-            cache=cache,
-            journal=CampaignJournal(cache.root / JOURNAL_NAME),
+            cache=ResultCache(tmp_path / "coord"),
             lease_ttl_s=10.0,
             linger_s=0.1,
             quarantine_strikes=strikes,

@@ -337,6 +337,30 @@ class TestQueryCommand:
         assert capsys.readouterr().out.startswith("error: compute fills only")
         assert not (tmp_path / "cold" / "points").exists()
 
+    @pytest.mark.parametrize(
+        "exc, answered",
+        [(KeyError("a miss"), True), (ValueError("a bad filter"), True),
+         (TypeError("a bug"), False)],
+        ids=["miss", "bad-filter", "bug"],
+    )
+    def test_query_answers_misses_and_bad_filters_but_raises_bugs(
+        self, tmp_path, capsys, monkeypatch, exc, answered
+    ):
+        from repro.runtime.query import CharacterizationIndex
+
+        def fail(self, *args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(CharacterizationIndex, "guardband", fail)
+        argv = ["query", "guardband", "--repeats", "1", "--samples", "8",
+                "--cache-dir", str(tmp_path / "cold")]
+        if not answered:
+            with pytest.raises(TypeError, match="a bug"):
+                main(argv)
+            return
+        assert main(argv) == 1
+        assert capsys.readouterr().out == f"error: {exc.args[0]}\n"
+
     def test_query_markdown_skips_the_json_payload_path(self, tmp_path, capsys):
         # 'points' + --markdown must not require --v-mv/--benchmark plumbing:
         # the report renders the whole (empty) index without computing.
