@@ -7,7 +7,8 @@ exists to absorb — a worker dying mid-campaign — and holds the
 distributed result to the single-host bar:
 
 1. a single-host serial sweep builds the reference cache;
-2. a coordinator starts with every board's sweep unit;
+2. a coordinator starts with every board's sweep unit, over a cache
+   dir seeded with the reference cache's model plane (``blobs/``);
 3. the script itself leases one unit as worker "ghost" and never
    completes it — a guaranteed dead worker holding a live lease — then
    worker "doomed" starts draining and is SIGKILLed after its first
@@ -16,9 +17,11 @@ distributed result to the single-host bar:
    leases' TTL, and drains the rest on its own worker pool; the
    coordinator exits 0 (drained);
 5. the merged point store is byte-for-byte identical to the
-   single-host reference store, warm reports rendered from the two
-   caches are byte-identical, and the coordinator's journal recorded
-   zero recomputed units.
+   single-host reference store, the rescuer's model plane holds exactly
+   the coordinator's blob files (names and bytes: the ``/blobs`` sync
+   and its name check ran across real processes), warm reports rendered
+   from the two caches are byte-identical, and the coordinator's journal
+   recorded zero recomputed units.
 
 Usage (CI)::
 
@@ -88,6 +91,12 @@ def point_bytes(cache_dir: pathlib.Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted((cache_dir / "points").glob("*.json"))}
 
 
+def blob_bytes(cache_dir: pathlib.Path) -> dict[str, bytes]:
+    """Blob files (arrays and manifests; not ``.gitignore``) by name."""
+    blobs = sorted((cache_dir / "blobs").glob("*"))
+    return {p.name: p.read_bytes() for p in blobs if not p.name.startswith(".")}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", default="1")
@@ -107,7 +116,8 @@ def main() -> int:
     print(f"[1/5] single-host serial reference sweep ({args.boards} boards)")
     run_cli(*sweep_flags, "--cache-dir", str(ref_cache))
 
-    print("[2/5] starting coordinator")
+    print("[2/5] starting coordinator over the reference model plane")
+    shutil.copytree(ref_cache / "blobs", coord_cache / "blobs")
     port_file = WORK_DIR / "coordinator.addr"
     coordinator = start_cli(
         "coordinate",
@@ -191,6 +201,15 @@ def main() -> int:
             f"({len(merged_points)} vs {len(ref_points)} entries)"
         )
     print(f"  point stores byte-identical ({len(ref_points)} entries)")
+
+    coord_blobs = blob_bytes(coord_cache)
+    rescuer_blobs = blob_bytes(WORK_DIR / "rescuer")
+    if not coord_blobs or rescuer_blobs != coord_blobs:
+        raise SystemExit(
+            f"rescuer's model plane diverged from the coordinator's "
+            f"({sorted(rescuer_blobs)} vs {sorted(coord_blobs)})"
+        )
+    print(f"  rescuer synced the coordinator's model plane ({len(coord_blobs)} blob files)")
 
     ref_report = run_cli(*sweep_flags, "--cache-dir", str(ref_cache), capture=True).stdout
     merged_report = run_cli(*sweep_flags, "--cache-dir", str(coord_cache), capture=True).stdout

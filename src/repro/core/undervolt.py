@@ -141,7 +141,7 @@ class SweepResult:
     #: ``len(points)`` + hang probes).  This is the sweep's true cost —
     #: what the adaptive-vs-grid benchmark gate counts — though when a
     #: per-point cache is active, evaluations may be replays rather than
-    #: fresh computes (see :class:`repro.runtime.points.PointStats`).
+    #: fresh computes (see a point store's :class:`repro.runtime.cache.StoreStats`).
     points_executed: int = 0
     #: How many of the executed probes hung the board.
     hang_probes: int = 0

@@ -69,8 +69,8 @@ runners directly — parallelism, caching (experiment- and point-level),
 and resuming are pure accelerations.
 """
 
-from repro.runtime.blobs import BlobStats, BlobStore, blob_plane, maybe_blob_plane
-from repro.runtime.cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache
+from repro.runtime.blobs import BlobStore, blob_plane, maybe_blob_plane
+from repro.runtime.cache import DEFAULT_CACHE_DIR, ResultCache, StoreStats
 from repro.runtime.campaign import (
     DEFAULT_ORDER,
     NAMED_CAMPAIGNS,
@@ -85,7 +85,7 @@ from repro.runtime.fabric import WorkerFabric, active_fabric, resolve_jobs
 from repro.runtime.hashing import config_fingerprint, point_fingerprint, point_fingerprinter
 from repro.runtime.journal import CampaignJournal, campaign_fingerprint
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.points import PointCache, PointEntry, PointStats, point_scope
+from repro.runtime.points import PointCache, PointEntry, point_scope
 from repro.runtime.query import (
     CharacterizationIndex,
     DatasetKey,
@@ -99,9 +99,7 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_ORDER",
     "NAMED_CAMPAIGNS",
-    "BlobStats",
     "BlobStore",
-    "CacheStats",
     "CampaignEntry",
     "CampaignJournal",
     "CampaignOutcome",
@@ -112,10 +110,10 @@ __all__ = [
     "LeaseHeartbeat",
     "PointCache",
     "PointEntry",
-    "PointStats",
     "RequestCoalescer",
     "ResultCache",
     "RetryPolicy",
+    "StoreStats",
     "TaskOutcome",
     "WorkUnit",
     "WorkerFabric",

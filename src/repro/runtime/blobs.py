@@ -34,37 +34,29 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-#: Subdirectory of a result-cache root holding the blob plane.
-BLOBS_SUBDIR = "blobs"
+from repro.runtime.cache import EntryStore, atomic_open, atomic_write_text
 
 #: Hex digits kept from the sha256 digest of an array's content.
 BLOB_KEY_LEN = 32
 
+#: Names a blob store holds: flat filenames only (``<key>.npy`` arrays,
+#: ``m-<name>.json`` manifests) — no separators, no traversal, no
+#: dotfiles (``.gitignore``, in-flight temp files).
+_BLOB_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
-@dataclass
-class BlobStats:
-    """Counters for one blob store's lifetime."""
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-
-    def as_dict(self) -> dict:
-        """Plain-dict snapshot of the counters (for stats endpoints)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-        }
+def check_blob_name(name: str) -> str:
+    """``name`` if it is a valid blob filename; ``ValueError`` otherwise."""
+    if not isinstance(name, str) or not _BLOB_NAME.fullmatch(name):
+        raise ValueError(f"invalid blob name {name!r}")
+    return name
 
 
 def array_key(array: np.ndarray) -> str:
@@ -82,15 +74,8 @@ def array_key(array: np.ndarray) -> str:
     return digest.hexdigest()[:BLOB_KEY_LEN]
 
 
-@dataclass
-class BlobStore:
+class BlobStore(EntryStore):
     """Content-addressed array/manifest store rooted at one directory."""
-
-    root: Path
-    stats: BlobStats = field(default_factory=BlobStats)
-
-    def __post_init__(self):
-        self.root = Path(self.root)
 
     # ------------------------------------------------------------------
     # Array blobs
@@ -112,9 +97,7 @@ class BlobStore:
         path = self.array_path(key)
         if path.exists():
             return key
-        from repro.runtime.cache import atomic_open
-
-        self._ensure_root()
+        self._prepare_root()
         # Streamed straight into the temp file: no in-memory copy of the array.
         with atomic_open(path) as handle:
             np.save(handle, array)
@@ -135,12 +118,7 @@ class BlobStore:
             self.stats.misses += 1
             return None
         except (OSError, ValueError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing deletes are fine
-                pass
+            self._retire(path)
             return None
         self.stats.hits += 1
         return array
@@ -155,9 +133,7 @@ class BlobStore:
 
     def put_manifest(self, name: str, payload: dict) -> Path:
         """Atomically write one manifest document."""
-        from repro.runtime.cache import atomic_write_text
-
-        self._ensure_root()
+        self._prepare_root()
         path = self.manifest_path(name)
         atomic_write_text(path, json.dumps(payload))
         self.stats.stores += 1
@@ -168,31 +144,49 @@ class BlobStore:
         path = self.manifest_path(name)
         try:
             payload = json.loads(path.read_text())
+            if not isinstance(payload, dict):
+                raise ValueError("manifest is not a JSON object")
         except FileNotFoundError:
             self.stats.misses += 1
             return None
         except (OSError, ValueError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing deletes are fine
-                pass
-            return None
-        if not isinstance(payload, dict):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
+            self._retire(path)
             return None
         self.stats.hits += 1
         return payload
 
     # ------------------------------------------------------------------
+    # Raw files by name (the coordinator's /blobs, a worker's sync); a
+    # name that fails check_blob_name raises ValueError
+    # ------------------------------------------------------------------
 
-    def _ensure_root(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        gitignore = self.root / ".gitignore"
-        if not gitignore.exists():
-            gitignore.write_text("*\n")
+    def names(self) -> list[str]:
+        """Every blob and manifest filename in the store, sorted."""
+        if not self.root.is_dir():
+            return []
+        return sorted(
+            p.name for p in self.root.iterdir() if _BLOB_NAME.fullmatch(p.name) and p.is_file()
+        )
+
+    def read_raw(self, name: str) -> bytes | None:
+        """One blob file's bytes; ``None`` if absent."""
+        try:
+            return (self.root / check_blob_name(name)).read_bytes()
+        except FileNotFoundError:
+            return None
+
+    def write_raw(self, name: str, data: bytes) -> bool:
+        """Write one blob file's bytes unless present; returns whether it wrote.
+
+        Blobs are content-addressed, so an existing file is already correct.
+        """
+        path = self.root / check_blob_name(name)
+        if path.exists():
+            return False
+        self._prepare_root()
+        atomic_write_text(path, data)
+        self.stats.stores += 1
+        return True
 
 
 _ACTIVE_PLANE: ContextVar[BlobStore | None] = ContextVar("repro_blob_plane", default=None)

@@ -17,22 +17,17 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.core.experiment import ExperimentConfig
 from repro.experiments.registry import ExperimentResult
-from repro.runtime.hashing import FINGERPRINT_LEN, _jsonable, current_version
+from repro.runtime.hashing import FINGERPRINT_RE, _jsonable, current_version
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-#: Entry files are named by their hex fingerprint; anything else in the
-#: cache dir (journal.json, the points/ subdir) is not an entry.
-_FINGERPRINT_RE = re.compile(rf"[0-9a-f]{{{FINGERPRINT_LEN}}}")
 
 _PAYLOAD_KEYS = {"fingerprint", "experiment_id", "version", "result", "wall_s"}
 _RESULT_KEYS = {"experiment_id", "title", "rows", "summary", "notes"}
@@ -78,6 +73,53 @@ def atomic_write_text(path: Path, text: str | bytes) -> None:
         handle.write(text)
 
 
+@dataclass
+class StoreStats:
+    """Counters for one store instance's lifetime (results, points or blobs)."""
+
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    corrupt: int = 0
+
+    def as_dict(self) -> dict:
+        """Plain-dict snapshot of the counters (for stats endpoints)."""
+        return asdict(self)
+
+
+@dataclass
+class EntryStore:
+    """What every on-disk store shares: a root, its stats, seeding, retirement.
+
+    :class:`ResultCache`, :class:`~repro.runtime.points.PointCache` and
+    :class:`~repro.runtime.blobs.BlobStore` subclass it; each stays the
+    only code that reads, validates or writes its own format.
+    """
+
+    root: Path
+    stats: StoreStats = field(default_factory=StoreStats)
+
+    def __post_init__(self):
+        self.root = Path(self.root)
+
+    def _prepare_root(self) -> None:
+        """Create the root for a write; seed a ``.gitignore`` so derived
+        data stays out of version control wherever ``--cache-dir`` points."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        gitignore = self.root / ".gitignore"
+        if not gitignore.exists():
+            gitignore.write_text("*\n")
+
+    def _retire(self, path: Path) -> None:
+        """Count a corrupt entry as a miss and delete it (the caller recomputes)."""
+        self.stats.corrupt += 1
+        self.stats.misses += 1
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - racing deletes are fine
+            pass
+
+
 def result_to_payload(result: ExperimentResult) -> dict:
     """JSON-able snapshot of a result (shard ``merge_state`` is dropped)."""
     return {
@@ -114,25 +156,6 @@ def normalize_result(result: ExperimentResult) -> ExperimentResult:
     return result_from_payload(json.loads(_dumps(result_to_payload(result))))
 
 
-@dataclass
-class CacheStats:
-    """Counters for one cache instance's lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-
-    def as_dict(self) -> dict:
-        """Plain-dict snapshot of the counters (for stats endpoints)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-        }
-
-
 @dataclass(frozen=True)
 class CacheHit:
     """A successfully loaded entry plus its recorded compute time."""
@@ -141,15 +164,8 @@ class CacheHit:
     wall_s: float
 
 
-@dataclass
-class ResultCache:
+class ResultCache(EntryStore):
     """Content-addressed experiment-result store rooted at one directory."""
-
-    root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self):
-        self.root = Path(self.root)
 
     def path_for(self, fingerprint: str) -> Path:
         """On-disk location of one entry."""
@@ -198,12 +214,7 @@ class ResultCache:
             result = result_from_payload(payload["result"])
             wall_s = float(payload["wall_s"])
         except (OSError, ValueError, TypeError, KeyError):
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing deletes are fine
-                pass
+            self._retire(path)
             return None
         self.stats.hits += 1
         return CacheHit(result=result, wall_s=wall_s)
@@ -222,13 +233,7 @@ class ResultCache:
                 f"result id {result.experiment_id!r} does not match "
                 f"cache key id {experiment_id!r}"
             )
-        self.root.mkdir(parents=True, exist_ok=True)
-        gitignore = self.root / ".gitignore"
-        if not gitignore.exists():
-            # Cache contents are derived data; keep them out of version
-            # control wherever the user points --cache-dir (same trick
-            # pytest's cache dir uses).
-            gitignore.write_text("*\n")
+        self._prepare_root()
         payload = {
             "fingerprint": fingerprint,
             "experiment_id": experiment_id,
@@ -263,5 +268,5 @@ class ResultCache:
         return sorted(
             p
             for p in self.root.glob("*.json")
-            if p.is_file() and _FINGERPRINT_RE.fullmatch(p.stem)
+            if p.is_file() and FINGERPRINT_RE.fullmatch(p.stem)
         )

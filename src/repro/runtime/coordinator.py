@@ -38,19 +38,22 @@ coordinator never connects out):
 ``POST /complete``
     A worker posts one finished unit: the result payload, its wall
     time, and the raw text of every point-store entry the unit wrote
-    locally.  The coordinator validates and writes the point entries
+    locally.  The coordinator validates every point entry (through the
+    point store's own parser) and the result *before* the lease board
+    records the completion — a refused post answers 400 and leaves the
+    unit leased — then has the point store write the entries
     **verbatim** (byte-identity with a single-host run holds by
     construction: entries are deterministic, and the first writer's
-    bytes are kept), then commits the result through the campaign's
+    bytes are kept) and commits the result through the campaign's
     :class:`~repro.runtime.campaign.CampaignLedger`.  Duplicate
     completions — two workers racing one unit, or a lease that expired
     and was re-leased before the original worker finished — are
     answered ``duplicate`` and change nothing.
 
 ``GET /blobs`` / ``GET /blobs/<name>``
-    The coordinator's model plane, served read-only so a cold worker
-    can sync spilled model blobs into its local store instead of
-    rebuilding them.
+    The coordinator's model plane, served read-only through its
+    :class:`~repro.runtime.blobs.BlobStore` so a cold worker can sync
+    spilled model blobs into its local store instead of rebuilding them.
 
 Leases expire: a worker that leases a unit and dies silently simply
 lets the TTL lapse, after which :class:`LeaseBoard` hands the unit to
@@ -59,10 +62,12 @@ elsewhere", never to a stuck campaign.  Results are deterministic, so a
 late completion from a worker presumed dead is either a duplicate
 (discarded) or indistinguishable from the re-lease's answer.
 
-The coordinator never writes the result cache or the journal itself:
-it opens, replays, commits and quarantines through the
+The coordinator never reads or writes a store file itself: it opens,
+replays, commits and quarantines through the
 :class:`~repro.runtime.campaign.CampaignLedger` a local campaign run
-uses, so the two journal identically.
+uses, so the two journal identically, and point entries and blobs go
+through :class:`~repro.runtime.points.PointCache` and
+:class:`~repro.runtime.blobs.BlobStore`, the owners of those formats.
 
 All mutating handlers run inline on the event loop — the coordinator is
 a control plane, not a data plane, and single-threaded merge order is
@@ -72,15 +77,16 @@ the simplest correctness argument for the journal and cache writes.
 from __future__ import annotations
 
 import json
-import re
 import time
 
 from repro.core.experiment import ExperimentConfig
-from repro.runtime.cache import ResultCache, atomic_write_text, result_from_payload
+from repro.runtime.blobs import BlobStore
+from repro.runtime.cache import ResultCache, result_from_payload
 from repro.runtime.campaign import CampaignLedger, resolve_campaign, sweep_unit_id
 from repro.runtime.hashing import current_version
 from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
 from repro.runtime.plan import ExecutionPlan, config_to_wire
+from repro.runtime.points import PointCache
 from repro.runtime.wire import (
     HttpService,
     Request,
@@ -113,11 +119,6 @@ COORDINATOR_MAX_BODY = 64 << 20
 
 #: Seconds an idle worker connection stays open between requests.
 COORDINATOR_READ_TIMEOUT_S = 10.0
-
-#: Blob names the coordinator will serve: flat store filenames only
-#: (``<key>.npy`` arrays, ``m-<name>.json`` manifests) — no separators,
-#: no traversal.
-_BLOB_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
 def resolve_work_units(targets) -> list[dict]:
@@ -417,6 +418,8 @@ class CampaignCoordinator(HttpService):
         self.config = config
         self.plan = plan or ExecutionPlan()
         self.cache = cache
+        self.points = PointCache(cache.point_root)
+        self.blobs = BlobStore(cache.blob_root)
         self.ledger = CampaignLedger(
             [unit["unit_id"] for unit in units],
             config,
@@ -571,20 +574,14 @@ class CampaignCoordinator(HttpService):
         }
 
     def _blobs(self, request: Request) -> dict:
-        root = self.cache.blob_root
-        if not root.is_dir():
-            return {"blobs": []}
-        names = sorted(p.name for p in root.iterdir() if p.is_file() and _BLOB_NAME.match(p.name))
-        return {"blobs": names}
+        return {"blobs": self.blobs.names()}
 
     def _serve_blob(self, request: Request) -> Response:
         name = request.target.split("?", 1)[0][len("/blobs/") :]
-        if not _BLOB_NAME.match(name):
-            return Response(400, error_bytes(f"invalid blob name {name!r}"))
-        path = self.cache.blob_root / name
-        if not path.is_file():
+        data = self.blobs.read_raw(name)  # ValueError (400) on a bad name
+        if data is None:
             return Response(404, error_bytes(f"no blob {name!r}"))
-        return Response(200, path.read_bytes(), content_type="application/octet-stream")
+        return Response(200, data, content_type="application/octet-stream")
 
     def _lease(self, request: Request) -> dict:
         payload = _json_body(request)
@@ -630,9 +627,23 @@ class CampaignCoordinator(HttpService):
                 f"got {fingerprint!r}, expected {expected!r}",
             }
             return Response(409, json_bytes(error))
+        # Validate before the board records the completion: a refused post
+        # (400) must leave the unit leased and the stores untouched.
+        points = payload.get("points") or {}
+        if not isinstance(points, dict):
+            raise ValueError("completion points must be a JSON object")
+        for point_fp, text in points.items():
+            self.points.check_shipped(point_fp, unit_id, text)
+        try:
+            result = result_from_payload(payload["result"])
+            wall_s = float(payload.get("wall_s", 0.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed result for {unit_id!r}: {exc!r}") from None
+        if result.experiment_id != unit_id:
+            raise ValueError(f"result for {result.experiment_id!r} posted as {unit_id!r}")
         verdict = self.board.complete(unit_id, payload.get("lease_id"))
         if verdict == "accepted":
-            self._merge(unit_id, payload)
+            self._merge(unit_id, points, result, wall_s)
             self._arm_linger_if_done()
         return {"status": verdict, "done": self.board.done()}
 
@@ -659,47 +670,23 @@ class CampaignCoordinator(HttpService):
         self._sync_quarantines()
         return {"status": verdict, "done": self.board.done()}
 
-    def _merge(self, unit_id: str, payload: dict) -> None:
-        """Write one accepted completion through to the local stores.
+    def _merge(self, unit_id: str, points: dict, result, wall_s: float) -> None:
+        """Write one accepted, already validated completion to the stores.
 
-        Point entries ship as raw file text and are written verbatim
-        (if absent) after validation, so the merged store is
-        byte-identical to one a single-host run would produce; the
-        result is committed through the ledger a local campaign run
-        commits through, so the journal classifies the unit exactly as a
-        local recompute (``recomputed`` when a prior run had completed
-        it, ``fresh`` otherwise).
+        The point store writes each shipped entry verbatim (if absent),
+        so the merged store is byte-identical to one a single-host run
+        would produce; the result is committed through the ledger a local
+        campaign run commits through, so the journal classifies the unit
+        exactly as a local recompute (``recomputed`` when a prior run had
+        completed it, ``fresh`` otherwise).
         """
-        for point_fp, text in (payload.get("points") or {}).items():
-            if self._write_point(unit_id, point_fp, text):
+        for point_fp, text in points.items():
+            if self.points.store_shipped(point_fp, unit_id, text):
                 self._points_written += 1
             else:
                 self._points_skipped += 1
-        result = result_from_payload(payload["result"])
-        self.ledger.commit(unit_id, result, float(payload.get("wall_s", 0.0)))
+        self.ledger.commit(unit_id, result, wall_s)
         self._results_merged += 1
-
-    def _write_point(self, unit_id: str, point_fp: str, text: str) -> bool:
-        """Validate one shipped point entry and write it verbatim if new."""
-        if not _BLOB_NAME.match(point_fp):
-            raise ValueError(f"invalid point fingerprint {point_fp!r}")
-        try:
-            entry = json.loads(text)
-        except ValueError:
-            raise ValueError(f"point entry {point_fp} is not valid JSON") from None
-        if not isinstance(entry, dict) or entry.get("fingerprint") != point_fp:
-            raise ValueError(f"point entry {point_fp} carries the wrong fingerprint")
-        if entry.get("scope") != unit_id:
-            raise ValueError(
-                f"point entry {point_fp} belongs to scope {entry.get('scope')!r}, "
-                f"not {unit_id!r}"
-            )
-        path = self.cache.point_root / f"{point_fp}.json"
-        if path.exists():
-            return False
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, text)
-        return True
 
 
 def _json_body(request: Request) -> dict:

@@ -29,12 +29,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 from repro.core.experiment import ExperimentConfig
 
 #: Hex digits kept from the sha256 digest; 16 nibbles = 64 bits, far past
 #: collision risk for the handful of configs a repository ever sees.
 FINGERPRINT_LEN = 16
+
+#: A fingerprint as it names a store file: exactly that many hex digits.
+FINGERPRINT_RE = re.compile(rf"[0-9a-f]{{{FINGERPRINT_LEN}}}")
 
 
 def _jsonable(value):

@@ -50,18 +50,15 @@ import json
 import os
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.session import AcceleratorSession, Measurement
 from repro.errors import BoardHangError
-from repro.runtime.cache import atomic_write_text
-from repro.runtime.hashing import current_version, point_fingerprinter
-
-#: Subdirectory of a result-cache root holding the per-point entries.
-POINTS_SUBDIR = "points"
+from repro.runtime.cache import EntryStore, atomic_write_text
+from repro.runtime.hashing import FINGERPRINT_RE, current_version, point_fingerprinter
 
 _ENTRY_KEYS = {"fingerprint", "scope", "context", "version", "hang", "measurement"}
 _MEASUREMENT_FIELDS = tuple(f.name for f in fields(Measurement))
@@ -90,25 +87,6 @@ def measurement_from_payload(payload: dict) -> Measurement:
     return Measurement(**payload)
 
 
-@dataclass
-class PointStats:
-    """Counters for one point store's lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-
-    def as_dict(self) -> dict:
-        """Plain-dict snapshot of the counters (for stats endpoints)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-        }
-
-
 @dataclass(frozen=True)
 class PointRecord:
     """One cached voltage point: a measurement, or a recorded hang."""
@@ -117,15 +95,11 @@ class PointRecord:
     measurement: Measurement | None
 
 
-@dataclass
-class PointCache:
+class PointCache(EntryStore):
     """Content-addressed voltage-point store rooted at one directory."""
 
-    root: Path
-    stats: PointStats = field(default_factory=PointStats)
-
     def __post_init__(self):
-        self.root = Path(self.root)
+        super().__post_init__()
         #: Read-side parse memo keyed by filename: (mtime_ns, size,
         #: parsed entry or None for corrupt).  Entries are immutable
         #: once written (writers replace atomically, which moves the
@@ -154,12 +128,7 @@ class PointCache:
             return None
         entry = read_point_entry(path)
         if entry is None:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing deletes are fine
-                pass
+            self._retire(path)
             return None
         self.stats.hits += 1
         return entry.record
@@ -173,10 +142,7 @@ class PointCache:
         version: str,
     ) -> Path:
         """Atomically write one point entry (``measurement=None`` = hang)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        gitignore = self.root / ".gitignore"
-        if not gitignore.exists():
-            gitignore.write_text("*\n")
+        self._prepare_root()
         payload = {
             "fingerprint": fingerprint,
             "scope": scope,
@@ -189,6 +155,31 @@ class PointCache:
         atomic_write_text(path, json.dumps(payload))
         self.stats.stores += 1
         return path
+
+    def check_shipped(self, fingerprint: str, scope: str, text: str) -> PointEntry:
+        """Validate one entry shipped as file text for ``scope``: a fingerprint
+        filename, a parse (:func:`parse_point_entry`), the scope; else ``ValueError``."""
+        if not isinstance(fingerprint, str) or not FINGERPRINT_RE.fullmatch(fingerprint):
+            raise ValueError(f"invalid point fingerprint {fingerprint!r}")
+        entry = parse_point_entry(text, fingerprint)
+        if entry.scope != scope:
+            raise ValueError(
+                f"point entry {fingerprint} belongs to scope {entry.scope!r}, not {scope!r}"
+            )
+        return entry
+
+    def store_shipped(self, fingerprint: str, scope: str, text: str) -> bool:
+        """Validate (:meth:`check_shipped`), then write the text verbatim
+        unless the file exists; returns whether it wrote.  Entries are
+        deterministic, so the first writer's bytes are as good as any."""
+        self.check_shipped(fingerprint, scope, text)
+        path = self.path_for(fingerprint)
+        if path.exists():
+            return False
+        self._prepare_root()
+        atomic_write_text(path, text)
+        self.stats.stores += 1
+        return True
 
     def entries(self) -> list[Path]:
         """All point files currently on disk (sorted by name for determinism)."""
@@ -262,20 +253,18 @@ class PointEntry:
     record: PointRecord
 
 
-def read_point_entry(path: str | os.PathLike) -> PointEntry | None:
-    """Parse one point file into a :class:`PointEntry`; ``None`` if invalid.
+def parse_point_entry(text: str, fingerprint: str) -> PointEntry:
+    """Parse one point file's text, stored under ``fingerprint``.
 
-    Read-only: unlike :meth:`PointCache.load` this never deletes a corrupt
-    file — index builders skip and count corruption, while the write path
-    (the sweep engine) remains the one place entries are retired.
+    The one validator of the point format (reads, index scans, merges of
+    shipped entries); raises ``ValueError`` naming the first problem.
     """
-    path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(text)
         if not _ENTRY_KEYS <= set(payload):
             raise ValueError("point payload missing keys")
-        if payload["fingerprint"] != path.stem:
-            raise ValueError("point entry under the wrong fingerprint")
+        if payload["fingerprint"] != fingerprint:
+            raise ValueError(f"point entry {fingerprint} carries the wrong fingerprint")
         hang = bool(payload["hang"])
         measurement = None
         if not hang:
@@ -289,7 +278,21 @@ def read_point_entry(path: str | os.PathLike) -> PointEntry | None:
             version=str(payload["version"]),
             record=PointRecord(hang=hang, measurement=measurement),
         )
-    except (OSError, ValueError, TypeError, KeyError):
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"malformed point entry {fingerprint}: {exc!r}") from None
+
+
+def read_point_entry(path: str | os.PathLike) -> PointEntry | None:
+    """Parse one point file into a :class:`PointEntry`; ``None`` if invalid.
+
+    Read-only: unlike :meth:`PointCache.load` this never deletes a corrupt
+    file — index builders skip and count corruption, while the write path
+    (the sweep engine) remains the one place entries are retired.
+    """
+    path = Path(path)
+    try:
+        return parse_point_entry(path.read_text(), path.stem)
+    except (OSError, ValueError):
         return None
 
 

@@ -11,8 +11,9 @@ directory, nothing about the campaign.  Each cycle it
    coordinator's library version (a mismatch aborts: fingerprints embed
    the version, so skewed workers could only produce rejected results);
 2. **syncs** any model-plane blobs it is missing from ``GET /blobs``
-   into its local store, so cold workers load spilled models instead of
-   rebuilding them;
+   into its local :class:`~repro.runtime.blobs.BlobStore` (which refuses
+   a name that could leave the store), so cold workers load spilled
+   models instead of rebuilding them;
 3. **executes** the unit as a one-unit campaign on its local runtime —
    :func:`~repro.runtime.campaign.run_campaign` for an experiment,
    :func:`~repro.runtime.campaign.run_sweep_campaign` for a board sweep,
@@ -69,7 +70,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.runtime.cache import ResultCache, atomic_write_text, result_to_payload
+from repro.runtime.blobs import BlobStore, check_blob_name
+from repro.runtime.cache import ResultCache, result_to_payload
 from repro.runtime.campaign import run_campaign, run_sweep_campaign
 from repro.runtime.chaos import PoisonedUnitError, poison_units
 from repro.runtime.hashing import current_version, point_fingerprinter
@@ -301,16 +303,20 @@ def sync_blobs(client: CoordinatorClient, blob_root: Path) -> int:
 
     Pull-only and name-addressed: blobs are content-addressed upstream,
     so an existing local file is always already correct and never
-    re-fetched.
+    re-fetched.  A listed name the blob store refuses (traversal, an
+    absolute path) raises :class:`WorkerError` before it is fetched.
     """
+    store = BlobStore(blob_root)
+    local = set(store.names())
     synced = 0
     for name in client.list_blobs():
-        target = Path(blob_root) / name
-        if target.exists():
+        if name in local:
             continue
-        target.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(target, client.fetch_blob(name))
-        synced += 1
+        try:
+            check_blob_name(name)
+        except ValueError as exc:
+            raise WorkerError(f"coordinator listed an {exc}") from None
+        synced += store.write_raw(name, client.fetch_blob(name))
     return synced
 
 

@@ -350,7 +350,6 @@ class AsyncCharacterizationServer(HttpService):
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
         keepalive_timeout_s: float = DEFAULT_KEEPALIVE_TIMEOUT_S,
         access_log=None,
-        precompute: bool = True,
     ):
         super().__init__(
             address,
@@ -365,7 +364,6 @@ class AsyncCharacterizationServer(HttpService):
         self.allow_compute = allow_compute
         self.max_inflight = int(max_inflight)
         self.coalesce_window_s = float(coalesce_window_s)
-        self.precompute = precompute
         self.dedupe = AsyncDedupeMap()
         self.counters.update(dict.fromkeys(METRIC_COUNTER_NAMES, 0))
         self._inflight = 0
@@ -385,10 +383,9 @@ class AsyncCharacterizationServer(HttpService):
         # requests queue (bounded by admission, never by client count).
         workers = max(4, min(self.max_inflight, 32)) + 2
         self._executor = ThreadPoolExecutor(workers, thread_name_prefix="serve-compute")
-        if self.precompute:
-            self._precomputed = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self.index.precompute_landmarks
-            )
+        self._precomputed = await asyncio.get_running_loop().run_in_executor(
+            self._executor, self.index.precompute_landmarks
+        )
 
     def on_close(self) -> None:
         """Stop the compute pool."""
@@ -514,7 +511,7 @@ def make_server(
     bound address back from ``server.server_address`` once the server is
     running.  Extra keyword arguments (``max_inflight``,
     ``max_connections``, ``coalesce_window_s``, ``access_log``,
-    ``drain_timeout_s``, ``precompute``) pass through to
+    ``drain_timeout_s``) pass through to
     :class:`AsyncCharacterizationServer`.
     """
     index = CharacterizationIndex(cache_dir, config=config)

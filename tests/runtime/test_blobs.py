@@ -80,10 +80,33 @@ class TestBlobStore:
         assert store.get_manifest("other") is None
 
     def test_corrupt_manifest_is_a_miss(self, store):
-        store.put_manifest("name", {"x": 1})
-        store.manifest_path("name").write_text("{broken")
-        assert store.get_manifest("name") is None
-        assert store.stats.corrupt == 1
+        # Unparseable JSON, and JSON that parses but is not an object:
+        # both are retired (counted once, deleted), never re-read.
+        for n, text in enumerate(["{broken", "[1, 2]"], start=1):
+            store.put_manifest("name", {"x": 1})
+            store.manifest_path("name").write_text(text)
+            assert store.get_manifest("name") is None
+            assert store.stats.corrupt == n
+            assert not store.manifest_path("name").exists()
+            assert store.get_manifest("name") is None
+            assert store.stats.corrupt == n
+
+    def test_raw_files_round_trip_under_the_name_rule(self, store):
+        key = store.put_array(np.ones(2, dtype=np.float32))
+        store.put_manifest("model", {"arrays": [key]})
+        names = store.names()
+        assert names == sorted([f"{key}.npy", "m-model.json"])  # no .gitignore
+        other = BlobStore(store.root.parent / "other")
+        assert [other.write_raw(name, store.read_raw(name)) for name in names] == [True, True]
+        assert other.write_raw(names[0], b"ignored") is False  # present: kept
+        assert other.get_manifest("model") == {"arrays": [key]}
+        assert other.read_raw("absent.npy") is None
+        for bad in ("../escape.npy", "/abs.npy", ".hidden", "a/b.npy"):
+            with pytest.raises(ValueError, match="invalid blob name"):
+                other.write_raw(bad, b"x")
+            with pytest.raises(ValueError, match="invalid blob name"):
+                other.read_raw(bad)
+        assert sorted(p.name for p in store.root.parent.iterdir()) == ["blobs", "other"]
 
     def test_gitignore_written(self, store):
         store.put_array(np.zeros(1))

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.experiment import ExperimentConfig
+from repro.runtime.blobs import BlobStore
 from repro.runtime.cache import ResultCache, normalize_result, result_to_payload
 from repro.runtime.campaign import (
     run_campaign,
@@ -37,6 +38,7 @@ from repro.runtime.coordinator import (
 from repro.runtime.plan import config_from_wire, config_to_wire
 from repro.runtime.remote_worker import (
     CoordinatorClient,
+    WorkerError,
     run_worker,
     sync_blobs,
 )
@@ -157,6 +159,11 @@ def _start_coordinator(tmp_path, targets, **kwargs):
 
 def _scripted_complete(client: CoordinatorClient, response: dict, workdir: Path) -> dict:
     """Act out one worker completion by hand (so tests control the timing)."""
+    return client.complete(_completion_payload(response, workdir))
+
+
+def _completion_payload(response: dict, workdir: Path) -> dict:
+    """Execute a leased sweep unit locally; the ``/complete`` body a worker posts."""
     unit = response["unit"]
     config = config_from_wire(response["config"])
     cache = ResultCache(workdir)
@@ -173,16 +180,14 @@ def _scripted_complete(client: CoordinatorClient, response: dict, workdir: Path)
         json.loads(p.read_text())["fingerprint"]: p.read_text()
         for p in sorted(cache.point_root.glob("*.json"))
     }
-    return client.complete(
-        {
-            "lease_id": response["lease_id"],
-            "unit_id": unit["unit_id"],
-            "fingerprint": unit["fingerprint"],
-            "wall_s": 0.1,
-            "result": result_to_payload(result),
-            "points": points,
-        }
-    )
+    return {
+        "lease_id": response["lease_id"],
+        "unit_id": unit["unit_id"],
+        "fingerprint": unit["fingerprint"],
+        "wall_s": 0.1,
+        "result": result_to_payload(result),
+        "points": points,
+    }
 
 
 class TestCoordinatorHTTP:
@@ -274,6 +279,50 @@ class TestCoordinatorHTTP:
         run = coordinator.journal.last_run(coordinator.campaign_id)
         assert run["completed"] == 1
 
+    @pytest.mark.parametrize("tamper", ["wrong-scope", "drifted-measurement", "no-result"])
+    def test_invalid_completion_is_refused_before_the_board_completes(self, tmp_path, tamper):
+        """A completion the stores would refuse answers 400 and changes
+        nothing: the unit stays leased, no point or result lands, and a
+        valid completion under the same lease is then accepted."""
+        coordinator, thread, url = _start_coordinator(tmp_path, ["sweep:vggnet:board0"])
+        client = CoordinatorClient(url)
+        response = client.lease("w1")
+        good = _completion_payload(response, tmp_path / "w1")
+        bad = json.loads(json.dumps(good))
+        if tamper == "no-result":
+            del bad["result"]
+        else:
+            # Tamper with the last shipped entry, so every entry before it
+            # is valid and would land if points were written one by one.
+            fp, text = [(fp, t) for fp, t in bad["points"].items() if '"hang": false' in t][-1]
+            entry = json.loads(text)
+            if tamper == "wrong-scope":
+                entry["scope"] = sweep_unit_id("vggnet", 1)
+            else:
+                entry["measurement"]["drifted_field"] = 0.0
+            del bad["points"][fp]
+            bad["points"][fp] = json.dumps(entry)
+        conn = http.client.HTTPConnection(*coordinator.server_address, timeout=30)
+        status, answer = _exchange(conn, "POST", "/complete", body=json.dumps(bad).encode())
+        conn.close()
+        assert status == 400, answer
+        assert coordinator.board.counts() == {
+            "pending": 0,
+            "leased": 1,
+            "completed": 0,
+            "quarantined": 0,
+        }
+        assert not list(coordinator.cache.point_root.glob("*.json"))
+        assert coordinator.cache.entries() == []
+
+        assert client.complete(good)["status"] == "accepted"
+        thread.join(timeout=30)
+        merged = {p.stem: p.read_text() for p in coordinator.cache.point_root.glob("*.json")}
+        assert merged == good["points"]
+        assert coordinator.cache.load(response["unit"]["fingerprint"], response["unit"]["unit_id"])
+        run = coordinator.journal.last_run(coordinator.campaign_id)
+        assert run["completed"] == 1 and run["fresh"] == 1
+
     def test_resume_serves_cached_units_without_recompute(self, tmp_path):
         """Re-journaled units come back as resumed, never recomputed."""
         coordinator, thread, url = _start_coordinator(tmp_path, ["sweep:vggnet:board0"])
@@ -357,6 +406,33 @@ class TestBlobSync:
         assert sync_blobs(client, local) == 0  # already in sync: no refetch
         coordinator.shutdown()
         thread.join(timeout=10)
+
+    @pytest.mark.parametrize("bad", ["../escape.npy", "absolute"])
+    def test_worker_refuses_a_listed_name_outside_its_store(self, tmp_path, bad):
+        """A coordinator listing a traversing or absolute name cannot make
+        the worker write outside its blob root."""
+        if bad == "absolute":
+            bad = str(tmp_path / "abs.npy")
+
+        class ListingClient:
+            def __init__(self):
+                self.fetched = []
+
+            def list_blobs(self):
+                return ["aa11.npy", bad]
+
+            def fetch_blob(self, name):
+                self.fetched.append(name)
+                return b"\x93NUMPY-fake-bytes"
+
+        client = ListingClient()
+        blob_root = tmp_path / "store" / "blobs"
+        with pytest.raises(WorkerError, match="invalid blob name"):
+            sync_blobs(client, blob_root)
+        assert client.fetched == ["aa11.npy"]
+        assert BlobStore(blob_root).names() == ["aa11.npy"]
+        outside = [p for p in tmp_path.rglob("*") if blob_root not in (p, *p.parents)]
+        assert outside == [tmp_path / "store"]
 
     def test_blob_names_are_validated(self, tmp_path):
         coordinator, thread, url = _start_coordinator(tmp_path, ["sweep:vggnet:board0"])
