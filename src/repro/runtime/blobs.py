@@ -156,8 +156,7 @@ class BlobStore(EntryStore):
         return payload
 
     # ------------------------------------------------------------------
-    # Raw files by name (the coordinator's /blobs, a worker's sync); a
-    # name that fails check_blob_name raises ValueError
+    # Raw files by name (the coordinator's /blobs, a worker's sync)
     # ------------------------------------------------------------------
 
     def names(self) -> list[str]:
@@ -169,7 +168,7 @@ class BlobStore(EntryStore):
         )
 
     def read_raw(self, name: str) -> bytes | None:
-        """One blob file's bytes; ``None`` if absent."""
+        """One blob file's bytes; ``None`` if absent, ``ValueError`` if misnamed."""
         try:
             return (self.root / check_blob_name(name)).read_bytes()
         except FileNotFoundError:
@@ -178,7 +177,8 @@ class BlobStore(EntryStore):
     def write_raw(self, name: str, data: bytes) -> bool:
         """Write one blob file's bytes unless present; returns whether it wrote.
 
-        Blobs are content-addressed, so an existing file is already correct.
+        A misnamed blob raises ``ValueError``.  Blobs are content-addressed,
+        so an existing file is already correct.
         """
         path = self.root / check_blob_name(name)
         if path.exists():

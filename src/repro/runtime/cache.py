@@ -103,8 +103,11 @@ class EntryStore:
         self.root = Path(self.root)
 
     def _prepare_root(self) -> None:
-        """Create the root for a write; seed a ``.gitignore`` so derived
-        data stays out of version control wherever ``--cache-dir`` points."""
+        """Create the root for a write and seed its ``.gitignore`` once.
+
+        Store contents are derived data: keep them out of version control
+        wherever ``--cache-dir`` points (pytest's cache dir does the same).
+        """
         self.root.mkdir(parents=True, exist_ok=True)
         gitignore = self.root / ".gitignore"
         if not gitignore.exists():

@@ -157,8 +157,12 @@ class PointCache(EntryStore):
         return path
 
     def check_shipped(self, fingerprint: str, scope: str, text: str) -> PointEntry:
-        """Validate one entry shipped as file text for ``scope``: a fingerprint
-        filename, a parse (:func:`parse_point_entry`), the scope; else ``ValueError``."""
+        """Validate one entry shipped as file text for ``scope``.
+
+        The fingerprint must name a store file, the text must parse under
+        it (:func:`parse_point_entry`) and the scope must match; else
+        ``ValueError``.
+        """
         if not isinstance(fingerprint, str) or not FINGERPRINT_RE.fullmatch(fingerprint):
             raise ValueError(f"invalid point fingerprint {fingerprint!r}")
         entry = parse_point_entry(text, fingerprint)
@@ -169,9 +173,10 @@ class PointCache(EntryStore):
         return entry
 
     def store_shipped(self, fingerprint: str, scope: str, text: str) -> bool:
-        """Validate (:meth:`check_shipped`), then write the text verbatim
-        unless the file exists; returns whether it wrote.  Entries are
-        deterministic, so the first writer's bytes are as good as any."""
+        """Write one shipped entry's text verbatim unless the file exists.
+
+        Validates first (:meth:`check_shipped`); returns whether it wrote.
+        """
         self.check_shipped(fingerprint, scope, text)
         path = self.path_for(fingerprint)
         if path.exists():

@@ -304,20 +304,15 @@ def sync_blobs(client: CoordinatorClient, blob_root: Path) -> int:
     Pull-only and name-addressed: blobs are content-addressed upstream,
     so an existing local file is always already correct and never
     re-fetched.  A listed name the blob store refuses (traversal, an
-    absolute path) raises :class:`WorkerError` before it is fetched.
+    absolute path) raises :class:`WorkerError` before anything is fetched.
     """
     store = BlobStore(blob_root)
     local = set(store.names())
-    synced = 0
-    for name in client.list_blobs():
-        if name in local:
-            continue
-        try:
-            check_blob_name(name)
-        except ValueError as exc:
-            raise WorkerError(f"coordinator listed an {exc}") from None
-        synced += store.write_raw(name, client.fetch_blob(name))
-    return synced
+    try:
+        missing = [check_blob_name(name) for name in client.list_blobs() if name not in local]
+    except ValueError as exc:
+        raise WorkerError(f"coordinator listed an {exc}") from None
+    return sum(store.write_raw(name, client.fetch_blob(name)) for name in missing)
 
 
 def _collect_points(points: PointCache, unit_id: str, config) -> dict[str, str]:
