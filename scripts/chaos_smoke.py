@@ -106,8 +106,6 @@ def start_worker(url: str, cache_dir, worker_id: str, env: dict | None = None) -
         url,
         "--cache-dir",
         str(cache_dir),
-        "--poll",
-        "0.1",
         "--timeout",
         "1",
         "--retry-budget",

@@ -159,8 +159,6 @@ def main() -> int:
         url,
         "--cache-dir",
         str(WORK_DIR / "doomed"),
-        "--poll",
-        "0.1",
         "--id",
         "doomed",
     )
@@ -179,8 +177,6 @@ def main() -> int:
         url,
         "--cache-dir",
         str(WORK_DIR / "rescuer"),
-        "--poll",
-        "0.1",
         "--id",
         "rescuer",
         "--jobs",

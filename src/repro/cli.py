@@ -103,8 +103,7 @@ def _plan_from_args(args):
     """The one ExecutionPlan a CLI invocation threads everywhere.
 
     Collapses the scattered execution flags (``--jobs``, ``--dispatch``)
-    into the frozen plan the campaign runtime — and, for ``coordinate``,
-    every remote worker — executes under.
+    into the frozen plan the campaign runtime executes under.
     """
     from repro.runtime.plan import ExecutionPlan
 
@@ -408,7 +407,6 @@ def _cmd_coordinate(args) -> int:
         args.targets,
         args.cache_dir,
         config=_config_from_args(args),
-        plan=_plan_from_args(args),
         host=args.host,
         port=args.port,
         resume=args.resume,
@@ -451,8 +449,7 @@ def _cmd_worker(args) -> int:
         stats = run_worker(
             args.connect,
             args.cache_dir,
-            jobs=args.jobs if args.jobs > 1 else None,
-            poll_s=args.poll,
+            jobs=args.jobs,
             worker_id=args.id,
             max_units=args.max_units,
             retry_budget_s=args.retry_budget,
@@ -475,8 +472,7 @@ def _cmd_workers(args) -> int:
         args.connect,
         args.cache_dir,
         args.count,
-        jobs=args.jobs if args.jobs > 1 else None,
-        poll_s=args.poll,
+        jobs=args.jobs,
         retry_budget_s=args.retry_budget,
         timeout_s=args.timeout,
         max_restarts=args.max_restarts,
@@ -707,12 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="structured JSON access log: a file path, or '-' for stdout",
     )
     p_coord.add_argument(
-        "--dispatch", choices=["unit", "point"], default="unit",
-        help="execution-plan dispatch mode shipped to every worker "
-             "(default unit)",
+        "--cache-dir", default=DEFAULT_CACHE_DIR,
+        help=f"cache the campaign merges into (default {DEFAULT_CACHE_DIR})",
     )
     _add_config_flags(p_coord, repeats=3, samples=64)
-    _add_runtime_flags(p_coord)
     p_coord.set_defaults(func=_cmd_coordinate)
 
     p_worker = sub.add_parser(
@@ -731,12 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--jobs", type=_jobs_arg, default=1,
-        help="override the shipped plan's worker count for this host "
-             "(default 1 = honor the plan)",
-    )
-    p_worker.add_argument(
-        "--poll", type=float, default=0.5,
-        help="seconds between polls while all units are leased out",
+        help="worker processes on this host for each leased unit, or "
+             "'auto' for one per CPU (default 1 = serial)",
     )
     p_worker.add_argument(
         "--max-units", dest="max_units", type=int, default=None,
@@ -744,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--retry-budget", dest="retry_budget", type=float, default=30.0,
-        help="seconds without a single successful coordinator response "
-             "before the worker gives up (default 30)",
+        help="seconds one coordinator request keeps retrying before "
+             "the worker gives up (default 30)",
     )
     p_worker.add_argument(
         "--timeout", type=float, default=30.0,
@@ -777,17 +767,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_workers.add_argument(
         "--jobs", type=_jobs_arg, default=1,
-        help="per-worker override of the shipped plan's worker count "
-             "(default 1 = honor the plan)",
-    )
-    p_workers.add_argument(
-        "--poll", type=float, default=None,
-        help="seconds between polls while all units are leased out",
+        help="worker processes on this host for each worker's leased "
+             "unit, or 'auto' for one per CPU (default 1 = serial)",
     )
     p_workers.add_argument(
         "--retry-budget", dest="retry_budget", type=float, default=None,
-        help="per-worker seconds without a successful coordinator "
-             "response before it gives up",
+        help="per-worker seconds one coordinator request keeps "
+             "retrying before the worker gives up",
     )
     p_workers.add_argument(
         "--timeout", type=float, default=None,

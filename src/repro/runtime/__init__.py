@@ -32,9 +32,9 @@ embarrassingly parallel, cache-friendly workload:
   land).
 * :mod:`repro.runtime.campaign` — the orchestrator gluing the above
   together, plus the named campaign sets the CLI exposes.
-* :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, the one frozen,
-  wire-serializable description of *how* a campaign executes (jobs and
-  sweep dispatch); execution knobs never move fingerprints.
+* :mod:`repro.runtime.plan` — :class:`ExecutionPlan`, the one frozen
+  description of *how* a campaign executes (jobs and sweep dispatch);
+  execution knobs never move fingerprints.
 * :mod:`repro.runtime.wire` — the shared HTTP dialect (canonical-JSON
   bodies, strong ETags, structured access logs, request framing) both
   asyncio services speak.

@@ -14,10 +14,11 @@ coordinator never connects out):
 
 ``POST /lease``
     A worker asks for work.  The answer is one of ``lease`` (a unit,
-    its lease id and TTL, the campaign's :class:`ExperimentConfig` and
-    :class:`~repro.runtime.plan.ExecutionPlan` on the wire, and the
-    coordinator's library version), ``wait`` (everything is leased out;
-    retry after a delay), or ``done`` (the campaign drained).
+    its lease id and TTL, the campaign's :class:`ExperimentConfig` on
+    the wire, and the coordinator's library version), ``wait``
+    (everything is leased out; retry after a delay), or ``done`` (the
+    campaign drained).  A lease ships what to compute, never how: each
+    worker runs it under its own ``--jobs``.
 
 ``POST /renew``
     A worker's lease heartbeat: extends a live lease's TTL so a
@@ -85,7 +86,7 @@ from repro.runtime.cache import ResultCache, result_from_payload
 from repro.runtime.campaign import CampaignLedger, resolve_campaign, sweep_unit_id
 from repro.runtime.hashing import current_version
 from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
-from repro.runtime.plan import ExecutionPlan, config_to_wire
+from repro.runtime.plan import config_to_wire
 from repro.runtime.points import PointCache
 from repro.runtime.wire import (
     HttpService,
@@ -395,7 +396,6 @@ class CampaignCoordinator(HttpService):
         address: tuple[str, int],
         units,
         config: ExperimentConfig,
-        plan: ExecutionPlan | None = None,
         cache: ResultCache | None = None,
         resume: bool = False,
         lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
@@ -416,7 +416,6 @@ class CampaignCoordinator(HttpService):
             max_body=COORDINATOR_MAX_BODY,
         )
         self.config = config
-        self.plan = plan or ExecutionPlan()
         self.cache = cache
         self.points = PointCache(cache.point_root)
         self.blobs = BlobStore(cache.blob_root)
@@ -604,14 +603,13 @@ class CampaignCoordinator(HttpService):
             "ttl_s": self.board.ttl_s,
             "unit": unit,
             "config": config_to_wire(self.config),
-            "plan": self.plan.to_wire(),
             "version": current_version(),
             "campaign_id": self.campaign_id,
         }
 
     def _complete(self, request: Request) -> dict | Response:
         payload = _json_body(request)
-        unit_id = payload.get("unit_id")
+        unit_id = _unit_id(payload)
         fingerprint = payload.get("fingerprint")
         expected = self.ledger.fingerprints.get(unit_id)
         if expected is None:
@@ -649,21 +647,15 @@ class CampaignCoordinator(HttpService):
 
     def _renew(self, request: Request) -> dict:
         payload = _json_body(request)
-        unit_id = payload.get("unit_id")
-        if unit_id is None:
-            raise ValueError("renew requires a unit_id")
-        verdict = self.board.renew(str(unit_id), payload.get("lease_id"))
+        verdict = self.board.renew(_unit_id(payload), payload.get("lease_id"))
         self._sync_quarantines()
         return {"status": verdict, "done": self.board.done()}
 
     def _fail(self, request: Request) -> dict:
         payload = _json_body(request)
-        unit_id = payload.get("unit_id")
-        if unit_id is None:
-            raise ValueError("fail requires a unit_id")
         error = payload.get("error")
         verdict = self.board.fail(
-            str(unit_id),
+            _unit_id(payload),
             payload.get("lease_id"),
             error=str(error) if error is not None else None,
         )
@@ -702,11 +694,18 @@ def _json_body(request: Request) -> dict:
     return payload
 
 
+def _unit_id(payload: dict) -> str:
+    """A request's ``unit_id``: a non-empty string, else 400 (ValueError)."""
+    unit_id = payload.get("unit_id")
+    if not isinstance(unit_id, str) or not unit_id:
+        raise ValueError(f"unit_id must be a non-empty string, got {type(unit_id).__name__}")
+    return unit_id
+
+
 def make_coordinator(
     targets,
     cache_dir,
     config: ExperimentConfig | None = None,
-    plan: ExecutionPlan | None = None,
     host: str = "127.0.0.1",
     port: int = 0,
     resume: bool = False,
@@ -721,7 +720,6 @@ def make_coordinator(
         (host, port),
         resolve_work_units(targets),
         config or ExperimentConfig(),
-        plan=plan,
         cache=ResultCache(cache_dir),
         resume=resume,
         lease_ttl_s=lease_ttl_s,

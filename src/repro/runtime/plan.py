@@ -1,27 +1,24 @@
-"""ExecutionPlan: one frozen, serializable description of *how* to execute.
+"""ExecutionPlan: one frozen description of *how* to execute.
 
 Historically every campaign entry point grew its own execution knobs —
-``jobs=`` here, ``dispatch=`` there — and nothing could ship "run it
-exactly like this" across a process boundary.  Distribution forces the
-issue: a remote worker must receive a single self-contained description
-of the execution discipline, byte-for-byte the one the coordinator's
-operator chose.  :class:`ExecutionPlan` is that description: a worker
-count and a sweep dispatch granularity.
+``jobs=`` here, ``dispatch=`` there.  :class:`ExecutionPlan` collapses
+them into one value: a worker count and a sweep dispatch granularity.
 
 The plan is deliberately **not** part of any cache key.  Both of its
 fields are execution knobs, and the runtime's determinism contract says
-execution knobs never move results — which is exactly why a coordinator
-can ship one plan to N workers and still merge their point stores
-byte-identically.  The batching budgets
-(:data:`repro.core.experiment.EXECUTION_FIELDS`) live on the config,
-which excludes them from every fingerprint.
+execution knobs never move results — which is exactly why a distributed
+campaign's workers may each run under their own plan (their own
+``--jobs``) and still merge their point stores byte-identically.  The
+batching budgets (:data:`repro.core.experiment.EXECUTION_FIELDS`) live
+on the config, which excludes them from every fingerprint.
 
 Alongside the plan live the config wire helpers
 (:func:`config_to_wire` / :func:`config_from_wire`): the coordinator
 ships its :class:`~repro.core.experiment.ExperimentConfig` — including
 the nested :class:`~repro.fpga.calibration.Calibration` — as plain
 JSON, and a worker reconstructs an *equal* config whose fingerprints
-match the coordinator's exactly.
+match the coordinator's exactly.  A lease ships what to compute (unit
+and config), never a plan.
 
 Every campaign entry point (:func:`~repro.runtime.campaign.run_campaign`,
 :func:`~repro.runtime.campaign.run_sweep_campaign`,
@@ -50,10 +47,9 @@ class ExecutionPlan:
     """How a campaign executes — never *what* it computes.
 
     One frozen value threaded from the CLI through
-    :mod:`repro.runtime.campaign` to the executor, and shipped verbatim
-    to remote workers by the coordinator.  Every field is an execution
-    acceleration: two runs of one campaign under different plans produce
-    bit-identical results and share every cache entry.
+    :mod:`repro.runtime.campaign` to the executor.  Every field is an
+    execution acceleration: two runs of one campaign under different
+    plans produce bit-identical results and share every cache entry.
     """
 
     #: Worker processes, or ``"auto"`` for one per *available* CPU
@@ -83,19 +79,6 @@ class ExecutionPlan:
 
         return resolve_jobs(self.jobs)
 
-    def to_wire(self) -> dict:
-        """JSON-able snapshot, shipped verbatim to remote workers."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "ExecutionPlan":
-        """Rebuild a plan from :meth:`to_wire` output (strict keys)."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown ExecutionPlan wire fields: {unknown}")
-        return cls(**payload)
-
 
 def config_to_wire(config: ExperimentConfig) -> dict:
     """JSON-able snapshot of a config (nested calibration included)."""
@@ -109,8 +92,8 @@ def config_from_wire(payload: dict) -> ExperimentConfig:
     calibration tuples come back as lists and are re-tupled so the
     reconstructed config is *equal* to the original — and therefore
     fingerprints identically, the property the distributed fabric's
-    byte-identity contract rests on.  Unknown keys are rejected, as
-    :meth:`ExecutionPlan.from_wire` rejects them.
+    byte-identity contract rests on.  Unknown keys (a knob an older peer
+    still ships) are rejected by name.
     """
     unknown = sorted(set(payload) - {f.name for f in fields(ExperimentConfig)})
     if unknown:

@@ -3,13 +3,16 @@
 The worker half of the distributed campaign fabric
 (:mod:`repro.runtime.coordinator`).  A worker process is deliberately
 dumb and stateless: it knows a coordinator URL and a local cache
-directory, nothing about the campaign.  Each cycle it
+directory, nothing about the campaign.  How it executes is its own
+choice (``jobs``, its host's worker count); the lease says only what to
+compute.  Each cycle it
 
 1. **leases** one work unit from ``POST /lease`` — the response carries
    the unit, the campaign's :class:`~repro.core.experiment.ExperimentConfig`
-   and :class:`~repro.runtime.plan.ExecutionPlan` on the wire, and the
-   coordinator's library version (a mismatch aborts: fingerprints embed
-   the version, so skewed workers could only produce rejected results);
+   on the wire, and the coordinator's library version (a mismatch
+   aborts: fingerprints embed the version, so skewed workers could only
+   produce rejected results; a lease that still carries an execution
+   plan comes from an older coordinator and aborts too);
 2. **syncs** any model-plane blobs it is missing from ``GET /blobs``
    into its local :class:`~repro.runtime.blobs.BlobStore` (which refuses
    a name that could leave the store), so cold workers load spilled
@@ -27,15 +30,18 @@ directory, nothing about the campaign.  Each cycle it
    produced to ``POST /complete`` for the coordinator to merge.
 
 The transport assumes faults (:mod:`repro.runtime.resilience`): every
-endpoint sits behind a circuit breaker, retries back off exponentially
-with deterministic per-worker jitter, a server ``Retry-After`` always
-wins, and a :class:`~repro.runtime.resilience.LeaseHeartbeat` renews
-the lease while a unit executes so slow units are not re-leased out
-from under the worker.  Failures split into two kinds the loop treats
-differently: :class:`CoordinatorUnreachable` (connection-level — refused,
-reset, timed out) and :class:`TransientProtocolError` (the coordinator
-answered, but badly: 5xx, truncated body, malformed JSON).  Both retry;
-only sustained silence exhausts the ``retry_budget_s``.
+endpoint sits behind a circuit breaker, every request to the
+coordinator retries through one loop
+(:func:`~repro.runtime.resilience.call_with_retries`) that backs off
+exponentially with deterministic per-worker jitter, a server
+``Retry-After`` always wins, and a
+:class:`~repro.runtime.resilience.LeaseHeartbeat` renews the lease while
+a unit executes so slow units are not re-leased out from under the
+worker.  Failures split into two kinds: :class:`CoordinatorUnreachable`
+(connection-level — refused, reset, timed out) and
+:class:`TransientProtocolError` (the coordinator answered, but badly:
+5xx, truncated body, malformed JSON).  Both retry; only one request
+failing for the whole ``retry_budget_s`` stops the worker.
 
 A unit whose *execution* raises is reported to ``POST /fail`` with the
 traceback — the coordinator counts strikes and quarantines repeat
@@ -47,7 +53,7 @@ a unit whose worker died, accept whichever completion lands first, and
 still end up with stores byte-identical to a single-host serial run.
 That same determinism is why retrying ``/complete`` and ``/fail`` is
 safe: a re-post lands as a duplicate (or a stale lease) and changes
-nothing.
+nothing; a retried ``/lease`` at worst leaves one lease to lapse.
 
 A worker exits cleanly when the coordinator answers ``done``, when it
 reaches ``max_units`` (the tests' stand-in for a worker dying between
@@ -94,8 +100,8 @@ class WorkerError(RuntimeError):
 class CoordinatorUnreachable(ConnectionError):
     """The coordinator did not answer at all: refused, reset, timed out.
 
-    Retryable; a worker gives up only after ``retry_budget_s`` of
-    sustained silence (counted from the last successful response).
+    Retryable; a worker gives up only after one request has kept
+    failing for ``retry_budget_s`` (counted from its first attempt).
     """
 
 
@@ -271,7 +277,8 @@ class WorkerStats:
     #: Completions the coordinator refused because the unit quarantined.
     units_quarantined: int = 0
     blobs_synced: int = 0
-    #: Transport retries across all paths (unreachable, wait, transient).
+    #: Retries across every request to the coordinator (unreachable,
+    #: transient, circuit open) plus ``wait`` answers slept through.
     retries: int = 0
     #: Successful lease-heartbeat renewals.
     lease_renewals: int = 0
@@ -340,8 +347,7 @@ def _collect_points(points: PointCache, unit_id: str, config) -> dict[str, str]:
 def run_worker(
     connect: str,
     cache_dir,
-    jobs: int | str | None = None,
-    poll_s: float = 0.5,
+    jobs: int | str = 1,
     worker_id: str | None = None,
     max_units: int | None = None,
     retry_budget_s: float = DEFAULT_RETRY_BUDGET_S,
@@ -353,23 +359,24 @@ def run_worker(
 ) -> WorkerStats:
     """Drain work from a coordinator until it says ``done``.
 
-    ``jobs`` overrides the shipped plan's worker count (``None`` = use
-    the plan's, resolved on *this* host — ``"auto"`` then means this
-    host's CPUs); everything else about execution comes from the
-    coordinator.  ``max_units`` stops after N completions — the tests'
+    ``jobs`` is this host's worker count for every leased unit (an int,
+    or ``"auto"`` for this host's CPUs); the lease says only what to
+    compute.  ``max_units`` stops after N completions — the tests'
     deterministic stand-in for a worker that dies mid-campaign.
 
-    Transport faults retry under ``retry_policy`` (capped exponential
-    backoff, deterministic jitter keyed by ``worker_id``, ``Retry-After``
-    honored); the worker gives up with ``stopped = "unreachable"`` only
-    after ``retry_budget_s`` without a single successful response (a
-    drained coordinator exits first, so late workers routinely see
+    Every request to the coordinator retries under ``retry_policy``
+    (capped exponential backoff, deterministic jitter keyed by
+    ``worker_id``, ``Retry-After`` honored), and each retry counts in
+    :attr:`WorkerStats.retries`; the worker gives up with ``stopped =
+    "unreachable"`` once one request has failed for ``retry_budget_s``
+    (a drained coordinator exits first, so late workers routinely see
     this).  A unit whose execution raises is reported to ``/fail`` and
     the worker moves on; a lease heartbeat renews long-running units so
     their leases never lapse mid-execution.
     """
     from repro.runtime.fabric import WorkerFabric
 
+    plan = ExecutionPlan(jobs=jobs)
     client = client or CoordinatorClient(connect, timeout_s=timeout_s)
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     policy = (retry_policy or RetryPolicy()).named(f"worker/{worker_id}")
@@ -377,38 +384,32 @@ def run_worker(
     points = PointCache(cache.point_root)
     stats = WorkerStats(worker_id=worker_id)
     started = time.perf_counter()
-    last_success: float | None = None
-    lease_attempt = 0
     wait_attempt = 0
-    fabric: WorkerFabric | None = None
+    # One fabric for the worker's life; it spawns no pool until a unit
+    # dispatches a task.
+    fabric = (
+        WorkerFabric(plan.jobs, blob_root=str(cache.blob_root))
+        if plan.resolved_jobs() > 1
+        else None
+    )
+
+    def _retry_sleep(delay: float) -> None:
+        stats.retries += 1
+        sleep(delay)
 
     def _post(fn, name: str):
-        """Retry one idempotent post until success or the retry budget."""
+        """One coordinator request, retried until success or the retry budget."""
         return call_with_retries(
             fn,
             policy.named(f"worker/{worker_id}/{name}"),
             retryable=RETRYABLE,
             budget_s=retry_budget_s,
-            sleep=sleep,
+            sleep=_retry_sleep,
         )
 
     try:
         while max_units is None or stats.units_completed < max_units:
-            try:
-                response = client.lease(worker_id)
-            except RETRYABLE as exc:
-                now = time.monotonic()
-                if last_success is None:
-                    last_success = now
-                if now - last_success >= retry_budget_s:
-                    stats.stopped = "unreachable"
-                    break
-                stats.retries += 1
-                sleep(policy.delay(lease_attempt, getattr(exc, "retry_after_s", None)))
-                lease_attempt += 1
-                continue
-            last_success = time.monotonic()
-            lease_attempt = 0
+            response = _post(lambda: client.lease(worker_id), "lease")
             status = response.get("status")
             if status == "done":
                 stats.stopped = "drained"
@@ -432,29 +433,21 @@ def run_worker(
                 fingerprint = unit["fingerprint"]
                 lease_id = response["lease_id"]
                 config = config_from_wire(response["config"])
-                plan = ExecutionPlan.from_wire(response["plan"])
             except (KeyError, TypeError, ValueError, ReproError) as exc:
                 raise WorkerError(f"malformed lease: {type(exc).__name__}: {exc}") from exc
-            if jobs is not None:
-                plan = ExecutionPlan(jobs=jobs, dispatch=plan.dispatch)
-            if fabric is None and plan.resolved_jobs() > 1:
-                # One fabric for the worker's life; it spawns no pool
-                # until a unit dispatches a task.
-                fabric = WorkerFabric(plan.jobs, blob_root=str(cache.blob_root))
+            if "plan" in response:
+                raise WorkerError(
+                    "lease carries an execution plan, so the coordinator runs an older "
+                    "release; upgrade it (each worker's --jobs sets how it runs)"
+                )
 
             # Trust-on-boot: the fingerprint embeds config and version
             # (both already validated), so a locally cached unit comes
             # back from the campaign as a hit and needs no blobs.
             if not cache.path_for(fingerprint).exists():
-                try:
-                    # Blob sync is pull-only and skips existing files, so
-                    # retrying the whole pass after a mid-sync fault is safe.
-                    stats.blobs_synced += _post(
-                        lambda: sync_blobs(client, cache.blob_root), "blobs"
-                    )
-                except RETRYABLE:
-                    stats.stopped = "unreachable"
-                    break
+                # Blob sync is pull-only and skips existing files, so
+                # retrying the whole pass after a mid-sync fault is safe.
+                stats.blobs_synced += _post(lambda: sync_blobs(client, cache.blob_root), "blobs")
             heartbeat = LeaseHeartbeat(
                 lambda: client.renew(unit_id, lease_id).get("status") == "renewed",
                 ttl_s=float(response.get("ttl_s", 60.0)),
@@ -499,25 +492,19 @@ def run_worker(
             (entry,) = outcome.entries
             stats.units_from_cache += entry.cache_hit
 
-            try:
-                verdict = _post(
-                    lambda: client.complete(
-                        {
-                            "lease_id": lease_id,
-                            "unit_id": unit_id,
-                            "fingerprint": fingerprint,
-                            "wall_s": entry.wall_s,
-                            "result": result_to_payload(entry.result),
-                            "points": _collect_points(points, unit_id, config),
-                        }
-                    ),
-                    "complete",
-                )
-            except RETRYABLE:
-                # The result is safe in the local cache; if the campaign
-                # still needs this unit it re-leases (a cache hit here).
-                stats.stopped = "unreachable"
-                break
+            verdict = _post(
+                lambda: client.complete(
+                    {
+                        "lease_id": lease_id,
+                        "unit_id": unit_id,
+                        "fingerprint": fingerprint,
+                        "wall_s": entry.wall_s,
+                        "result": result_to_payload(entry.result),
+                        "points": _collect_points(points, unit_id, config),
+                    }
+                ),
+                "complete",
+            )
             if verdict.get("status") == "accepted":
                 stats.units_completed += 1
                 stats.unit_ids.append(unit_id)
@@ -539,6 +526,11 @@ def run_worker(
                 )
         else:
             stats.stopped = "max-units"
+    except RETRYABLE:
+        # One request failed for the whole retry budget.  A finished
+        # unit's result is safe in the local cache; if the campaign still
+        # needs it, it re-leases (a cache hit here).
+        stats.stopped = "unreachable"
     finally:
         if fabric is not None:
             fabric.close()

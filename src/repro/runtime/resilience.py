@@ -19,9 +19,10 @@ can drive them deterministically:
   calls fast-fail locally instead of hammering a struggling peer; after
   ``reset_after_s`` one probe is let through (half-open) and its outcome
   closes or re-opens the circuit.  The clock is injected.
-* :func:`call_with_retries` — the one retry loop the worker uses for
-  idempotent requests (``/complete`` re-posts land as duplicates, so
-  retrying them is always safe).
+* :func:`call_with_retries` — the one retry loop every worker request
+  goes through (``/complete`` re-posts land as duplicates, and a
+  retried ``/lease`` at worst orphans a lease that lapses, so retrying
+  is always safe).
 * :class:`LeaseHeartbeat` — a daemon thread renewing one work lease at a
   fraction of its TTL while the unit executes, so long-running units do
   not expire mid-execution and get needlessly re-leased elsewhere.
@@ -220,9 +221,10 @@ def call_with_retries(
     ``retry_after_s`` attribute overrides the policy's backoff for that
     attempt (the ``Retry-After`` contract).  When the budget or attempt
     cap is exhausted the *last* exception propagates — the caller sees
-    the real failure, not a synthetic one.  Only use this for idempotent
-    requests; the fabric's ``/complete`` and ``/fail`` qualify because
-    re-posts land as duplicates.
+    the real failure, not a synthetic one.  Only use this for requests a
+    repeat cannot corrupt; the fabric's ``/complete`` and ``/fail``
+    re-posts land as duplicates, and a repeated ``/lease`` at worst
+    leaves one lease to lapse.
     """
     attempt = 0
     started = clock()

@@ -67,7 +67,6 @@ def worker_command(
     connect: str,
     cache_dir: str | os.PathLike,
     jobs: int | str | None = None,
-    poll_s: float | None = None,
     retry_budget_s: float | None = None,
     timeout_s: float | None = None,
     worker_id: str | None = None,
@@ -85,8 +84,6 @@ def worker_command(
     ]
     if jobs is not None:
         command += ["--jobs", str(jobs)]
-    if poll_s is not None:
-        command += ["--poll", str(poll_s)]
     if retry_budget_s is not None:
         command += ["--retry-budget", str(retry_budget_s)]
     if timeout_s is not None:
@@ -105,7 +102,6 @@ def run_supervisor(
     cache_dir: str | os.PathLike,
     count: int,
     jobs: int | str | None = None,
-    poll_s: float | None = None,
     retry_budget_s: float | None = None,
     timeout_s: float | None = None,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
@@ -141,7 +137,6 @@ def run_supervisor(
             connect,
             cache_root / f"worker{slot}",
             jobs=jobs,
-            poll_s=poll_s,
             retry_budget_s=retry_budget_s,
             timeout_s=timeout_s,
             worker_id=f"{os.getpid()}-w{slot}",

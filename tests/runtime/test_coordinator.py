@@ -37,10 +37,13 @@ from repro.runtime.coordinator import (
 from repro.runtime.plan import config_from_wire, config_to_wire
 from repro.runtime.remote_worker import (
     CoordinatorClient,
+    CoordinatorUnreachable,
+    TransientProtocolError,
     WorkerError,
     run_worker,
     sync_blobs,
 )
+from repro.runtime.resilience import RetryPolicy
 
 CFG = ExperimentConfig(repeats=1, samples=8, v_step=0.02)
 
@@ -249,7 +252,7 @@ class TestCoordinatorHTTP:
         doomed = client.lease("doomed")
         assert doomed["status"] == "lease"
         time.sleep(0.35)  # let the doomed worker's lease lapse
-        stats = run_worker(url, tmp_path / "rescuer", worker_id="rescuer", poll_s=0.05)
+        stats = run_worker(url, tmp_path / "rescuer", worker_id="rescuer")
         thread.join(timeout=60)
         assert coordinator.drained
         assert stats.units_completed == 2
@@ -383,6 +386,17 @@ class TestCoordinatorProtocolEdges:
         status, payload = _exchange(conn, "POST", path, body=b'{"lease_id": "L1"}')
         assert status == 400 and "unit_id" in payload["error"]
 
+    @pytest.mark.parametrize("unit_id", [["x"], 7, None], ids=["list", "int", "null"])
+    @pytest.mark.parametrize("path", ["/renew", "/fail", "/complete"])
+    def test_non_string_unit_id_is_400_and_changes_nothing(self, conn, path, unit_id):
+        """Every endpoint that names a unit checks ``unit_id`` the same way."""
+        assert _exchange(conn, "POST", "/lease", body=b'{"worker": "w"}')[1]["status"] == "lease"
+        before = _exchange(conn, "GET", "/status")[1]["board"]
+        body = json.dumps({"unit_id": unit_id, "lease_id": "L1", "fingerprint": "f"})
+        status, payload = _exchange(conn, "POST", path, body=body.encode())
+        assert status == 400 and "unit_id" in payload["error"]
+        assert _exchange(conn, "GET", "/status")[1]["board"] == before
+
     def test_two_requests_share_one_keepalive_connection(self, conn):
         assert _exchange(conn, "GET", "/healthz")[0] == 200
         sock = conn.sock
@@ -454,7 +468,7 @@ class TestTwoWorkerByteIdentity:
         stats = [None, None]
 
         def drain(i):
-            stats[i] = run_worker(url, tmp_path / f"worker{i}", worker_id=f"w{i}", poll_s=0.05)
+            stats[i] = run_worker(url, tmp_path / f"worker{i}", worker_id=f"w{i}")
 
         threads = [threading.Thread(target=drain, args=(i,)) for i in range(2)]
         for t in threads:
@@ -511,7 +525,7 @@ class TestLedgerParity:
     def test_coordinated_campaign_journals_like_a_local_one(self, tmp_path):
         local, local_journal = self._local(tmp_path)
         coordinator, thread, url = _start_coordinator(tmp_path, self.TARGETS)
-        run_worker(url, tmp_path / "w", worker_id="w", poll_s=0.05)
+        run_worker(url, tmp_path / "w", worker_id="w")
         thread.join(timeout=60)
         assert coordinator.drained
 
@@ -565,13 +579,11 @@ class TestWorkerShipsOnlyTheLeasedConfig:
 
 
 class TestPooledWorker:
-    @pytest.mark.parametrize("dispatch", ["unit", "point"])
-    def test_jobs_2_worker_runs_units_as_campaigns(self, tmp_path, monkeypatch, dispatch):
+    def test_jobs_2_worker_runs_units_as_campaigns(self, tmp_path, monkeypatch):
         """A leased unit is a one-unit campaign on the worker's fabric:
         fig3's five per-benchmark shards go to the worker's pool, and the
         merged point store is byte-identical to a single-host serial run."""
         from repro.runtime import fabric as fabric_module
-        from repro.runtime.plan import ExecutionPlan
 
         serial_cache = ResultCache(tmp_path / "serial-cache")
         run_campaign(["fig3"], CFG, cache=serial_cache)
@@ -590,9 +602,7 @@ class TestPooledWorker:
                 super().note_dispatched(n)
 
         monkeypatch.setattr(fabric_module, "WorkerFabric", RecordingFabric)
-        coordinator, thread, url = _start_coordinator(
-            tmp_path, ["fig3", "sweep:vggnet:board1"], plan=ExecutionPlan(dispatch=dispatch)
-        )
+        coordinator, thread, url = _start_coordinator(tmp_path, ["fig3", "sweep:vggnet:board1"])
         stats = run_worker(url, tmp_path / "worker", worker_id="w0", jobs=2)
         thread.join(timeout=60)
         assert stats.stopped == "drained" and stats.units_completed == 2
@@ -629,20 +639,106 @@ class TestCollectPoints:
         assert points.scan_rereads == parsed
 
 
-class _OneLeaseClient:
-    """Stands in for a coordinator that answers every lease with ``lease``."""
+class _ScriptedClient:
+    """A coordinator whose ``/lease`` and ``/complete`` answers are scripted.
 
-    def __init__(self, lease):
-        self._lease = lease
+    Each script entry is an answer or an exception to raise; the last
+    entry repeats.  ``/complete`` takes ``complete_s`` to answer, blob
+    sync finds nothing to fetch, and every renewal lands.
+    """
+
+    def __init__(self, leases, completes=({"status": "accepted"},), complete_s=0.0):
+        self._leases = list(leases)
+        self._completes = list(completes)
+        self.complete_s = complete_s
+
+    @staticmethod
+    def _next(script):
+        answer = script.pop(0) if len(script) > 1 else script[0]
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
 
     def lease(self, worker_id):
-        return self._lease
+        return self._next(self._leases)
+
+    def complete(self, payload):
+        time.sleep(self.complete_s)
+        return self._next(self._completes)
+
+    def renew(self, unit_id, lease_id):
+        return {"status": "renewed"}
+
+    def list_blobs(self):
+        return []
+
+
+def _table1_lease() -> dict:
+    from repro.runtime.hashing import config_fingerprint, current_version
+
+    return {
+        "status": "lease",
+        "version": current_version(),
+        "lease_id": "L1",
+        "unit": {
+            "kind": "experiment",
+            "unit_id": "table1",
+            "experiment_id": "table1",
+            "fingerprint": config_fingerprint("table1", CFG),
+        },
+        "config": config_to_wire(CFG),
+    }
+
+
+class TestWorkerRetries:
+    """Every request to the coordinator retries through one loop, whose
+    budget starts with the request and whose retries all count."""
+
+    POLICY = RetryPolicy(base_s=0.01, max_s=0.01)
+
+    def test_lease_budget_does_not_count_the_unit_before_it(self, tmp_path):
+        """A unit and its ``/complete`` outlasting the retry budget leave
+        the next ``/lease`` its whole budget: one dropped connection is
+        retried, and the worker drains."""
+        budget = 0.2
+        client = _ScriptedClient(
+            [_table1_lease(), CoordinatorUnreachable("reset"), {"status": "done"}],
+            complete_s=2 * budget,
+        )
+        stats = run_worker(
+            "http://unused",
+            tmp_path / "w",
+            client=client,
+            retry_budget_s=budget,
+            retry_policy=self.POLICY,
+            sleep=lambda s: None,
+        )
+        assert stats.stopped == "drained" and stats.units_completed == 1
+        assert stats.retries >= 1
+
+    def test_complete_retry_is_counted(self, tmp_path):
+        client = _ScriptedClient(
+            [_table1_lease(), {"status": "done"}],
+            completes=[
+                TransientProtocolError("POST /complete answered 503"),
+                {"status": "accepted"},
+            ],
+        )
+        stats = run_worker(
+            "http://unused",
+            tmp_path / "w",
+            client=client,
+            retry_policy=self.POLICY,
+            sleep=lambda s: None,
+        )
+        assert stats.stopped == "drained" and stats.units_completed == 1
+        assert stats.retries == 1
 
 
 def _lease_from_older_peer() -> dict:
-    """A lease whose config still carries a knob this worker does not know."""
+    """A lease from an older coordinator: its config still carries a knob
+    this worker does not know, and it still ships an execution plan."""
     from repro.runtime.hashing import current_version
-    from repro.runtime.plan import ExecutionPlan, config_to_wire
 
     return {
         "status": "lease",
@@ -650,7 +746,7 @@ def _lease_from_older_peer() -> dict:
         "unit": _units(1)[0],
         "lease_id": "lease-1",
         "config": {**config_to_wire(CFG), "repeat_mode": "batched"},
-        "plan": ExecutionPlan().to_wire(),
+        "plan": {"jobs": 1, "dispatch": "unit"},
     }
 
 
@@ -658,19 +754,38 @@ class TestMalformedLease:
     def test_unknown_config_key_is_a_worker_error(self, tmp_path):
         from repro.runtime.remote_worker import WorkerError
 
-        client = _OneLeaseClient(_lease_from_older_peer())
+        client = _ScriptedClient([_lease_from_older_peer()])
         with pytest.raises(WorkerError, match="malformed lease.*repeat_mode"):
             run_worker("http://unused", tmp_path / "w", client=client)
 
-    @pytest.mark.parametrize("field", ["unit", "lease_id", "config", "plan"])
+    @pytest.mark.parametrize("field", ["unit", "lease_id", "config"])
     def test_missing_field_is_a_worker_error(self, tmp_path, field):
         from repro.runtime.remote_worker import WorkerError
 
         lease = _lease_from_older_peer()
         lease["config"] = config_to_wire(CFG)
+        del lease["plan"]
         del lease[field]
         with pytest.raises(WorkerError, match="malformed lease"):
-            run_worker("http://unused", tmp_path / "w", client=_OneLeaseClient(lease))
+            run_worker("http://unused", tmp_path / "w", client=_ScriptedClient([lease]))
+
+    def test_lease_carrying_a_plan_is_refused(self, tmp_path, monkeypatch, capsys):
+        """A worker runs on its own settings, so a lease that still ships
+        a plan comes from an older coordinator and is refused, in the
+        library and on the CLI, before anything is synced or computed."""
+        from repro.cli import main
+        from repro.runtime import remote_worker
+
+        lease = _lease_from_older_peer()
+        lease["config"] = config_to_wire(CFG)
+        with pytest.raises(WorkerError, match="lease carries an execution plan"):
+            run_worker("http://unused", tmp_path / "w", client=_ScriptedClient([lease]))
+        monkeypatch.setattr(
+            remote_worker, "CoordinatorClient", lambda *a, **k: _ScriptedClient([lease])
+        )
+        code = main(["worker", "--connect", "http://unused", "--cache-dir", str(tmp_path / "w")])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: lease carries an execution plan")
 
     def test_cli_worker_prints_error_and_exits_2(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
@@ -678,7 +793,7 @@ class TestMalformedLease:
 
         lease = _lease_from_older_peer()
         monkeypatch.setattr(
-            remote_worker, "CoordinatorClient", lambda *a, **k: _OneLeaseClient(lease)
+            remote_worker, "CoordinatorClient", lambda *a, **k: _ScriptedClient([lease])
         )
         code = main(["worker", "--connect", "http://unused", "--cache-dir", str(tmp_path / "w")])
         assert code == 2

@@ -1,10 +1,10 @@
-"""ExecutionPlan tests: validation and wire round-trips.
+"""ExecutionPlan validation and config wire round-trips.
 
 The plan's contract: one frozen value describes *how* a campaign
-executes (worker count and sweep dispatch), and it survives a JSON
-round-trip bit-exactly (the distributed fabric ships it verbatim).
-That execution fields never move a fingerprint is pinned in
-``tests/runtime/test_hashing.py``.
+executes (worker count and sweep dispatch).  That execution fields never
+move a fingerprint is pinned in ``tests/runtime/test_hashing.py``.  The
+config, not the plan, is what the distributed fabric ships: it must
+survive a JSON round-trip with its fingerprints intact.
 """
 
 import json
@@ -27,7 +27,6 @@ class TestValidation:
         plan = ExecutionPlan()
         assert plan.jobs == 1
         assert plan.dispatch == "unit"
-        assert plan.to_wire() == {"jobs": 1, "dispatch": "unit"}
 
     def test_bad_dispatch_is_value_error(self):
         """The historical run_sweep_campaign contract: ValueError, not CampaignError."""
@@ -45,15 +44,6 @@ class TestValidation:
 
 
 class TestWire:
-    def test_plan_round_trip_is_exact(self):
-        plan = ExecutionPlan(jobs=3, dispatch="point")
-        wired = json.loads(json.dumps(plan.to_wire()))
-        assert ExecutionPlan.from_wire(wired) == plan
-
-    def test_unknown_wire_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown ExecutionPlan wire fields"):
-            ExecutionPlan.from_wire({"jobs": 1, "gpus": 8})
-
     def test_unknown_config_wire_field_rejected(self):
         """A retired knob from an older peer is named, not a TypeError."""
         wired = {**config_to_wire(CFG), "repeat_mode": "batched"}

@@ -107,7 +107,6 @@ class TestWorkerCommand:
             "http://127.0.0.1:8400",
             "/tmp/cache/worker0",
             jobs=2,
-            poll_s=0.1,
             retry_budget_s=60.0,
             timeout_s=1.0,
             worker_id="sup-w0",
@@ -115,7 +114,7 @@ class TestWorkerCommand:
         text = " ".join(command)
         assert "worker --connect http://127.0.0.1:8400" in text
         assert "--cache-dir /tmp/cache/worker0" in text
-        assert "--jobs 2" in text and "--poll 0.1" in text
+        assert "--jobs 2" in text
         assert "--retry-budget 60.0" in text and "--timeout 1.0" in text
         assert "--id sup-w0" in text
 
