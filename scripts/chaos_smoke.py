@@ -12,8 +12,10 @@ the coordinator, injecting connection resets, delays past the client
 timeout, truncated response bodies, and 5xx bursts per a deterministic
 fault schedule.  The campaign must still drain with the merged point
 store byte-identical to the reference, ``recomputed == 0`` in the
-journal, and every fault kind must actually have fired (so the run
-proves resilience, not luck).
+journal, every fault kind must actually have fired, and the workers'
+summed ``retries`` must be at least 1 (the retry loop is the worker's
+only fault mechanism, so the run proves it absorbed the faults, not
+luck).
 
 **Phase B — poison quarantine.**  One unit is poisoned via
 ``REPRO_CHAOS_POISON_UNITS``: its execution always raises, the worker
@@ -125,6 +127,15 @@ def finish(proc: subprocess.Popen, what: str, timeout_s: float = 300) -> tuple[i
     return code, proc.stdout.read()
 
 
+def worker_stats(output: str, what: str) -> dict:
+    """The stats JSON a worker prints as its last line."""
+    try:
+        return json.loads(output.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        print(output)
+        raise SystemExit(f"{what} printed no final stats line") from None
+
+
 def last_run(cache_dir: pathlib.Path) -> dict:
     journal = json.loads((cache_dir / "journal.json").read_text())
     (campaign,) = journal["campaigns"].values()
@@ -165,12 +176,17 @@ def phase_a(args, ref_points, config_flags, targets) -> None:
         if code != 0:
             print(output)
             raise SystemExit("chaos coordinator exited non-zero (campaign not drained)")
+        retries = 0
         for i, worker in enumerate(workers):
             # Workers may burn their retry budget against the departed
             # coordinator; their exit codes are not the test.
-            finish(worker, f"chaos worker {i}", timeout_s=120)
+            _, worker_output = finish(worker, f"chaos worker {i}", timeout_s=120)
+            retries += worker_stats(worker_output, f"chaos worker {i}")["retries"]
         faults = proxy.snapshot()
     print(f"  fault schedule fired: {faults}")
+    print(f"  workers retried {retries} times")
+    if retries < 1:
+        raise SystemExit("no worker retried: the faults never reached the retry loop")
     missing = [kind for kind in FAULT_KINDS if kind != "pass" and faults[kind] == 0]
     if missing:
         raise SystemExit(
@@ -221,10 +237,10 @@ def phase_b(args, ref_points, config_flags, targets) -> None:
         raise SystemExit("coordinator did not report the quarantine in its final output")
     print("  coordinator exited 0 and reported the quarantine")
 
-    worker_stats = json.loads(worker_output.strip().splitlines()[-1])
-    if worker_stats["units_failed"] < 3:
-        raise SystemExit(f"expected >= 3 reported failures, got {worker_stats}")
-    print(f"  worker reported {worker_stats['units_failed']} failures and drained")
+    stats = worker_stats(worker_output, "poison worker")
+    if stats["units_failed"] < 3:
+        raise SystemExit(f"expected >= 3 reported failures, got {stats}")
+    print(f"  worker reported {stats['units_failed']} failures and drained")
 
     expected = {
         name: data

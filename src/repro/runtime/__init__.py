@@ -46,8 +46,9 @@ embarrassingly parallel, cache-friendly workload:
   merged stores are byte-identical to a single-host run.
 * :mod:`repro.runtime.resilience` — the transport's fault-tolerance
   primitives: :class:`RetryPolicy` (capped exponential backoff with
-  deterministic named-RNG jitter), per-endpoint circuit breakers, and
-  the lease-renewal heartbeat; every clock and sleep is injected.
+  deterministic named-RNG jitter), the one retry loop every worker
+  request goes through, and the lease-renewal heartbeat; every clock
+  and sleep is injected.
 * :mod:`repro.runtime.chaos` — the deterministic fault injector: a
   seeded TCP proxy (resets, delays, truncations, 5xx bursts on a
   reproducible schedule) and the poison-unit hook, proving the
@@ -92,7 +93,7 @@ from repro.runtime.query import (
     RequestCoalescer,
     open_index,
 )
-from repro.runtime.resilience import CircuitBreaker, LeaseHeartbeat, RetryPolicy
+from repro.runtime.resilience import LeaseHeartbeat, RetryPolicy
 from repro.runtime.shards import WorkUnit, merge_unit_results, plan_units
 
 __all__ = [
@@ -104,7 +105,6 @@ __all__ = [
     "CampaignJournal",
     "CampaignOutcome",
     "CharacterizationIndex",
-    "CircuitBreaker",
     "DatasetKey",
     "ExecutionPlan",
     "LeaseHeartbeat",

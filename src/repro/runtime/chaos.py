@@ -91,8 +91,8 @@ class FaultSchedule:
     index draws one uniform from its own named stream, and the rate
     bands partition ``[0, 1)`` as ``[error | reset | delay | truncate |
     pass]``.  An error draw starts a 5xx *burst* covering ``burst_len``
-    consecutive connections, so breaker-opening runs of failures occur
-    at realistic correlation, not just independently.
+    consecutive connections, so runs of failures that outlast several
+    retries occur at realistic correlation, not just independently.
     """
 
     def __init__(

@@ -30,10 +30,9 @@ compute.  Each cycle it
    produced to ``POST /complete`` for the coordinator to merge.
 
 The transport assumes faults (:mod:`repro.runtime.resilience`): every
-endpoint sits behind a circuit breaker, every request to the
-coordinator retries through one loop
+request to the coordinator retries through one loop
 (:func:`~repro.runtime.resilience.call_with_retries`) that backs off
-exponentially with deterministic per-worker jitter, a server
+exponentially with deterministic per-worker jitter, a usable server
 ``Retry-After`` always wins, and a
 :class:`~repro.runtime.resilience.LeaseHeartbeat` renews the lease while
 a unit executes so slow units are not re-leased out from under the
@@ -66,6 +65,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import socket
 import time
@@ -85,10 +85,8 @@ from repro.runtime.plan import ExecutionPlan, config_from_wire
 from repro.runtime.points import PointCache
 from repro.runtime.resilience import (
     DEFAULT_RETRY_BUDGET_S,
-    CircuitBreaker,
-    CircuitOpenError,
-    RetryPolicy,
     LeaseHeartbeat,
+    RetryPolicy,
     call_with_retries,
 )
 
@@ -119,70 +117,41 @@ class TransientProtocolError(RuntimeError):
         self.retry_after_s = retry_after_s
 
 
-#: Exceptions the worker's request paths retry (circuit-open included:
-#: the breaker's cooldown is shorter than the backoff tail).
-RETRYABLE = (CoordinatorUnreachable, TransientProtocolError, CircuitOpenError)
+#: Exceptions the worker's request paths retry: the two transport
+#: failures, and nothing else.
+RETRYABLE = (CoordinatorUnreachable, TransientProtocolError)
+
+
+def _coordinator_seconds(value) -> float | None:
+    """A duration the coordinator sent, as finite seconds >= 0, or ``None``.
+
+    Used for a ``Retry-After`` header, a ``wait`` answer's
+    ``retry_after_s`` and a lease's ``ttl_s``: anything that is not a
+    finite number (``"soon"``, ``null``, ``inf``) is ``None``, so the
+    caller falls back to its own backoff or refuses the lease.
+    """
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
 class CoordinatorClient:
     """Blocking HTTP client for the coordinator's JSON protocol.
 
-    Every endpoint gets its own :class:`CircuitBreaker`: a coordinator
-    melting down under ``/complete`` bodies should fast-fail completions
-    locally without also blocking the cheap ``/lease`` poll.  Failures
-    are classified into :class:`CoordinatorUnreachable` (nothing
-    answered) and :class:`TransientProtocolError` (a bad answer); 4xx
-    responses are returned to the caller as bodies — they are the
-    coordinator *speaking*, e.g. the 409 fingerprint rejection the
-    worker must surface, not a transport fault.
+    Failures are classified into :class:`CoordinatorUnreachable`
+    (nothing answered) and :class:`TransientProtocolError` (a bad
+    answer); 4xx responses are returned to the caller as bodies — they
+    are the coordinator *speaking*, e.g. the 409 fingerprint rejection
+    the worker must surface, not a transport fault.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout_s: float = 30.0,
-        failure_threshold: int | None = None,
-        reset_after_s: float | None = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, base_url: str, timeout_s: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout_s = float(timeout_s)
-        self._breaker_kwargs = {"clock": clock}
-        if failure_threshold is not None:
-            self._breaker_kwargs["failure_threshold"] = failure_threshold
-        if reset_after_s is not None:
-            self._breaker_kwargs["reset_after_s"] = reset_after_s
-        self._breakers: dict[str, CircuitBreaker] = {}
-
-    def breaker(self, path: str) -> CircuitBreaker:
-        """The circuit breaker guarding one endpoint (created on demand)."""
-        endpoint = "/" + path.lstrip("/").split("/", 1)[0]
-        breaker = self._breakers.get(endpoint)
-        if breaker is None:
-            breaker = CircuitBreaker(name=endpoint, **self._breaker_kwargs)
-            self._breakers[endpoint] = breaker
-        return breaker
-
-    def breaker_snapshot(self) -> dict:
-        """Per-endpoint circuit state and counters (worker stats)."""
-        return {
-            name: {"state": b.state, "opened": b.opened, "rejected": b.rejected}
-            for name, b in sorted(self._breakers.items())
-        }
-
-    @staticmethod
-    def _retry_after(headers) -> float | None:
-        value = headers.get("Retry-After") if headers is not None else None
-        if value is None:
-            return None
-        try:
-            return max(0.0, float(value))
-        except (TypeError, ValueError):
-            return None
 
     def _request(self, method: str, path: str, payload: dict | None = None) -> bytes:
-        breaker = self.breaker(path)
-        breaker.check()
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         request = urllib.request.Request(
             self.base_url + path,
@@ -196,27 +165,22 @@ class CoordinatorClient:
         except urllib.error.HTTPError as exc:
             data = exc.read()
             if exc.code >= 500:
-                breaker.record_failure()
                 raise TransientProtocolError(
                     f"{method} {path} answered {exc.code}",
-                    retry_after_s=self._retry_after(exc.headers),
+                    retry_after_s=_coordinator_seconds((exc.headers or {}).get("Retry-After")),
                 ) from None
             # 4xx is the coordinator answering deliberately (409
             # fingerprint rejection, 400 bad request): hand the body up.
-            breaker.record_success()
             return data
         except http.client.HTTPException as exc:
             # Truncated or mangled response: the connection worked, the
             # bytes did not (IncompleteRead, BadStatusLine, ...).
-            breaker.record_failure()
             raise TransientProtocolError(
                 f"{method} {path} returned a broken response: {type(exc).__name__}"
             ) from None
         except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
-            breaker.record_failure()
             reason = getattr(exc, "reason", exc)
             raise CoordinatorUnreachable(f"{method} {path} unreachable: {reason}") from None
-        breaker.record_success()
         return data
 
     def _json(self, method: str, path: str, payload: dict | None = None) -> dict:
@@ -226,7 +190,6 @@ class CoordinatorClient:
         except (ValueError, UnicodeDecodeError):
             # A truncated body can still satisfy Content-Length checks at
             # the socket layer; malformed JSON is the protocol-level tell.
-            self.breaker(path).record_failure()
             raise TransientProtocolError(f"{method} {path} returned malformed JSON") from None
         if not isinstance(decoded, dict):
             raise TransientProtocolError(f"{method} {path} returned a non-object body")
@@ -277,8 +240,8 @@ class WorkerStats:
     #: Completions the coordinator refused because the unit quarantined.
     units_quarantined: int = 0
     blobs_synced: int = 0
-    #: Retries across every request to the coordinator (unreachable,
-    #: transient, circuit open) plus ``wait`` answers slept through.
+    #: Retries across every request to the coordinator (unreachable or
+    #: transient) plus ``wait`` answers slept through.
     retries: int = 0
     #: Successful lease-heartbeat renewals.
     lease_renewals: int = 0
@@ -416,7 +379,8 @@ def run_worker(
                 break
             if status == "wait":
                 stats.retries += 1
-                sleep(policy.delay(wait_attempt, response.get("retry_after_s")))
+                retry_after_s = _coordinator_seconds(response.get("retry_after_s"))
+                sleep(policy.delay(wait_attempt, retry_after_s))
                 wait_attempt += 1
                 continue
             wait_attempt = 0
@@ -433,6 +397,9 @@ def run_worker(
                 fingerprint = unit["fingerprint"]
                 lease_id = response["lease_id"]
                 config = config_from_wire(response["config"])
+                ttl_s = _coordinator_seconds(response.get("ttl_s", 60.0))
+                if not ttl_s:
+                    raise ValueError(f"ttl_s {response['ttl_s']!r} is not a finite number > 0")
             except (KeyError, TypeError, ValueError, ReproError) as exc:
                 raise WorkerError(f"malformed lease: {type(exc).__name__}: {exc}") from exc
             if "plan" in response:
@@ -450,7 +417,7 @@ def run_worker(
                 stats.blobs_synced += _post(lambda: sync_blobs(client, cache.blob_root), "blobs")
             heartbeat = LeaseHeartbeat(
                 lambda: client.renew(unit_id, lease_id).get("status") == "renewed",
-                ttl_s=float(response.get("ttl_s", 60.0)),
+                ttl_s=ttl_s,
             )
             try:
                 with heartbeat:

@@ -191,20 +191,23 @@ class TestClientTaxonomy:
         with pytest.raises(CoordinatorUnreachable):
             client.healthz()
 
-    def test_breaker_opens_and_fast_fails_per_endpoint(self):
-        from repro.runtime.resilience import CircuitOpenError
+    def test_infinite_retry_after_falls_back_to_the_backoff(self, upstream):
+        """A ``Retry-After: inf`` is no usable delay: the retry loop backs
+        off by its own policy and retries, instead of giving up at once
+        because the advertised wait outlasts the budget."""
+        from repro.runtime.remote_worker import RETRYABLE
+        from repro.runtime.resilience import RetryPolicy, call_with_retries
 
-        client = CoordinatorClient(
-            "http://127.0.0.1:1", timeout_s=0.2, failure_threshold=2, reset_after_s=60.0
-        )
-        for _ in range(2):
-            with pytest.raises(CoordinatorUnreachable):
-                client.lease("w")
-        with pytest.raises(CircuitOpenError):
-            client.lease("w")
-        # /healthz has its own breaker: still closed, still tries the wire.
-        with pytest.raises(CoordinatorUnreachable):
-            client.healthz()
-        snapshot = client.breaker_snapshot()
-        assert snapshot["/lease"]["state"] == "open"
-        assert snapshot["/healthz"]["state"] == "closed"
+        plan = FaultPlan(kind="error", retry_after_s=float("inf"))
+        with ChaosProxy(upstream.address, FixedSchedule([plan, "pass"])) as proxy:
+            client = CoordinatorClient(proxy.url, timeout_s=5.0)
+            sleeps = []
+            answer = call_with_retries(
+                client.healthz,
+                RetryPolicy(base_s=0.01, max_s=0.01, jitter=0.0),
+                retryable=RETRYABLE,
+                budget_s=5.0,
+                sleep=sleeps.append,
+            )
+            assert answer["status"] == "ok"
+            assert sleeps == [0.01]

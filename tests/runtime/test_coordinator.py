@@ -734,6 +734,24 @@ class TestWorkerRetries:
         assert stats.stopped == "drained" and stats.units_completed == 1
         assert stats.retries == 1
 
+    @pytest.mark.parametrize("retry_after_s", ["soon", [1]])
+    def test_malformed_wait_delay_falls_back_to_the_backoff(self, tmp_path, retry_after_s):
+        """A ``wait`` answer whose ``retry_after_s`` is no number is slept
+        through on the policy's own backoff, and the worker drains."""
+        sleeps = []
+        client = _ScriptedClient(
+            [{"status": "wait", "retry_after_s": retry_after_s}, {"status": "done"}]
+        )
+        stats = run_worker(
+            "http://unused",
+            tmp_path / "w",
+            client=client,
+            retry_policy=self.POLICY,
+            sleep=sleeps.append,
+        )
+        assert stats.stopped == "drained" and stats.retries == 1
+        assert len(sleeps) == 1 and 0.0 < sleeps[0] <= self.POLICY.max_s
+
 
 def _lease_from_older_peer() -> dict:
     """A lease from an older coordinator: its config still carries a knob
@@ -768,6 +786,24 @@ class TestMalformedLease:
         del lease[field]
         with pytest.raises(WorkerError, match="malformed lease"):
             run_worker("http://unused", tmp_path / "w", client=_ScriptedClient([lease]))
+
+    @pytest.mark.parametrize("ttl_s", ["x", None, 0, -1])
+    def test_bad_ttl_is_a_malformed_lease(self, tmp_path, monkeypatch, capsys, ttl_s):
+        """A lease TTL that is not a finite number > 0 is refused before
+        anything runs, in the library and on the CLI (``error:``, exit 2)."""
+        from repro.cli import main
+        from repro.runtime import remote_worker
+
+        lease = {**_table1_lease(), "ttl_s": ttl_s}
+        script = [lease, {"status": "done"}]
+        with pytest.raises(WorkerError, match="malformed lease.*ttl_s"):
+            run_worker("http://unused", tmp_path / "w", client=_ScriptedClient(script))
+        monkeypatch.setattr(
+            remote_worker, "CoordinatorClient", lambda *a, **k: _ScriptedClient(script)
+        )
+        code = main(["worker", "--connect", "http://unused", "--cache-dir", str(tmp_path / "w")])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("error: malformed lease")
 
     def test_lease_carrying_a_plan_is_refused(self, tmp_path, monkeypatch, capsys):
         """A worker runs on its own settings, so a lease that still ships

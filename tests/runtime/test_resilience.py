@@ -1,4 +1,4 @@
-"""Resilience-layer tests: backoff determinism, circuits, heartbeats.
+"""Resilience-layer tests: backoff determinism, retry budgets, heartbeats.
 
 Everything here runs on injected clocks and recorded sleeps — the point
 of :mod:`repro.runtime.resilience` is that none of its timing behavior
@@ -7,13 +7,7 @@ needs wall-clock time to verify.
 
 import pytest
 
-from repro.runtime.resilience import (
-    CircuitBreaker,
-    CircuitOpenError,
-    LeaseHeartbeat,
-    RetryPolicy,
-    call_with_retries,
-)
+from repro.runtime.resilience import LeaseHeartbeat, RetryPolicy, call_with_retries
 
 
 class FakeClock:
@@ -29,15 +23,39 @@ class FakeClock:
 
 class TestRetryPolicy:
     def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(base_s=0.1, max_s=1.0, multiplier=2.0, jitter=0.0)
+        policy = RetryPolicy(base_s=0.1, max_s=1.0, jitter=0.0)
         assert policy.delays(6) == [0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
 
     def test_jittered_delays_are_deterministic_per_seed_and_name(self):
-        policy = RetryPolicy(seed=7, name="w1")
-        assert policy.delays(5) == RetryPolicy(seed=7, name="w1").delays(5)
+        """The jitter stream's seed is fixed, so the name alone keys it."""
+        policy = RetryPolicy(name="w1")
+        assert policy.delays(5) == RetryPolicy(name="w1").delays(5)
+
+    def test_delays_of_the_worker_and_supervisor_policies_are_pinned(self):
+        """The worker's and the supervisor's backoff sequences, exactly."""
+        assert RetryPolicy().named("worker/w1/lease").delays(8) == [
+            0.07559757999897422,
+            0.17433256731509902,
+            0.3089323302339688,
+            0.72429705763884,
+            1.4873820116324403,
+            2.43960049495305,
+            4.095001857358682,
+            4.549944455029168,
+        ]
+        assert RetryPolicy(base_s=0.5, max_s=10.0).named("supervisor/slot0").delays(8) == [
+            0.39624901588133044,
+            0.8737724981535193,
+            1.6697358639768907,
+            3.8710527388751763,
+            6.9179301372967785,
+            9.06530024014728,
+            8.334721252938571,
+            7.995715396202545,
+        ]
 
     def test_jitter_shrinks_within_bounds_and_varies_by_name(self):
-        a = RetryPolicy(seed=7, name="w1", jitter=0.25)
+        a = RetryPolicy(name="w1", jitter=0.25)
         b = a.named("w2")
         for attempt in range(5):
             backoff = a.backoff(attempt)
@@ -60,57 +78,6 @@ class TestRetryPolicy:
             RetryPolicy().delay(-1)
 
 
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, reset_after_s=5.0, clock=clock)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.opened == 1 and breaker.rejected == 1
-
-    def test_success_resets_the_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_closes_on_success(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=2.0, clock=clock)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(2.0)
-        assert breaker.allow()  # the single half-open probe
-        assert breaker.state == "half-open"
-        assert not breaker.allow()  # second caller refused while probing
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_half_open_probe_failure_reopens_for_a_full_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, reset_after_s=2.0, clock=clock)
-        breaker.record_failure()
-        clock.advance(2.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open" and breaker.opened == 2
-        clock.advance(1.9)
-        assert not breaker.allow()
-        clock.advance(0.1)
-        assert breaker.allow()
-
-    def test_check_raises_when_open(self):
-        breaker = CircuitBreaker(name="/lease", failure_threshold=1, clock=FakeClock())
-        breaker.record_failure()
-        with pytest.raises(CircuitOpenError, match="/lease"):
-            breaker.check()
-
-
 class Flaky(RuntimeError):
     pass
 
@@ -126,7 +93,7 @@ class TestCallWithRetries:
                 raise Flaky("not yet")
             return "ok"
 
-        policy = RetryPolicy(base_s=0.1, multiplier=2.0, jitter=0.0)
+        policy = RetryPolicy(base_s=0.1, jitter=0.0)
         result = call_with_retries(fn, policy, retryable=(Flaky,), sleep=sleeps.append)
         assert result == "ok"
         assert sleeps == [0.1, 0.2, 0.4]
@@ -153,15 +120,6 @@ class TestCallWithRetries:
         call_with_retries(fn, RetryPolicy(jitter=0.0), retryable=(Flaky,), sleep=sleeps.append)
         assert sleeps == [0.7]
 
-    def test_attempt_cap_raises_the_last_exception(self):
-        def fn():
-            raise Flaky("always")
-
-        with pytest.raises(Flaky, match="always"):
-            call_with_retries(
-                fn, RetryPolicy(jitter=0.0), retryable=(Flaky,), attempts=3, sleep=lambda s: None
-            )
-
     def test_budget_stops_before_oversleeping(self):
         clock = FakeClock()
 
@@ -174,7 +132,7 @@ class TestCallWithRetries:
         with pytest.raises(Flaky):
             call_with_retries(
                 fn,
-                RetryPolicy(base_s=1.0, multiplier=1.0, jitter=0.0),
+                RetryPolicy(base_s=1.0, max_s=1.0, jitter=0.0),
                 retryable=(Flaky,),
                 budget_s=2.5,
                 sleep=sleep,
