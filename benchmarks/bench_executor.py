@@ -92,12 +92,10 @@ def _dispatching_round_measure(benchmark, board, config, fabric_for_round):
     is closed after the round.
     """
 
-    scope = f"bench:{benchmark}:board{board}"
-
     def measure_round(points):
         fabric, owned = fabric_for_round()
         wire = tuple((p.index, p.v_mv, p.mode) for p in points)
-        task_args = (benchmark, board, wire, None, config, None, scope, None)
+        task_args = (benchmark, board, wire, None, config, None, None)
         try:
             outcomes = run_tasks([(measure_round_task, task_args)], fabric=fabric)
         finally:

@@ -23,7 +23,7 @@ reports each failure to ``/fail``, and after K strikes the coordinator
 quarantines it.  The campaign must drain to a partial-but-honest
 result: coordinator exits 0, the quarantine is journaled and reported,
 and the merged store is byte-identical to the reference *minus* the
-poisoned unit's scope.
+poisoned board's points.
 
 Usage (CI)::
 
@@ -245,7 +245,7 @@ def phase_b(args, ref_points, config_flags, targets) -> None:
     expected = {
         name: data
         for name, data in ref_points.items()
-        if json.loads(data).get("scope") != poison_unit
+        if json.loads(data)["context"]["board"] != POISON_BOARD
     }
     merged = point_bytes(coord_cache)
     if merged != expected:
@@ -253,7 +253,7 @@ def phase_b(args, ref_points, config_flags, targets) -> None:
             f"poisoned store should be the reference minus {poison_unit} "
             f"({len(merged)} vs {len(expected)} entries)"
         )
-    print(f"  point store is reference minus the poisoned scope ({len(expected)} entries)")
+    print(f"  point store is reference minus the poisoned board ({len(expected)} entries)")
 
     run = last_run(coord_cache)
     if run.get("quarantined", 0) != 1 or run["completed"] != args.boards - 1:

@@ -11,9 +11,10 @@ order (benchmark-major, board-minor), so the fleet spread statistics see
 the identical operand sequence a serial run computes.
 
 Being the widest campaign also makes fig6 the biggest client of the
-per-point cache: every ``(benchmark, board)`` sweep runs under its work
-unit's point scope, so a campaign killed mid-fig6 resumes paying only
-for the voltage points its interrupted shards never reached.
+per-point cache: every ``(benchmark, board)`` sweep runs over the
+campaign's point store, so a campaign killed mid-fig6 resumes paying
+only for the voltage points its interrupted shards never reached, and a
+campaign that ran fig3 first replays every voltage fig3 measured.
 """
 
 from __future__ import annotations

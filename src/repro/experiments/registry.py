@@ -151,8 +151,8 @@ def run_unit(
     Top-level by design — worker processes receive only picklable
     ``(experiment_id, shard_key, config, point_root, blob_root)`` tuples
     and resolve the callable through the registry on their side.  When
-    ``point_root`` is set, the unit runs under an active per-point cache
-    scope: every voltage point its sweeps measure is served from / stored
+    ``point_root`` is set, the unit runs under an active per-point cache:
+    every voltage point its sweeps measure is served from / stored
     to the content-addressed point store at that directory — and the
     sweeps inside execute round-granularly (each strategy round is one
     voltage-stacked engine pass over :func:`repro.runtime.points.cached_round_measure`),
@@ -165,20 +165,18 @@ def run_unit(
     later process; tasks ship these directory strings and blob keys,
     never pickled arrays.
 
-    The scope is the *experiment id alone*, deliberately not the shard
-    key: whether the campaign planner sharded the experiment (``jobs >
-    1``) or ran it whole (serial) is an execution detail, and execution
-    details must never move cache keys.  The shard's identity is already
-    pinned by every point's context (benchmark, variant, board, clock),
-    so dropping it from the scope loses nothing — and lets a serial rerun
-    replay the points a parallel run measured, and vice versa.
+    A point's key names neither the experiment nor the shard: its
+    context (benchmark, variant, board, voltage, clock, temperature)
+    already pins what was measured.  So a serial rerun replays the
+    points a sharded run measured, and ``fig5`` and ``fig6`` replay the
+    voltages ``fig3`` measured.
     """
     # Late import: the runtime package depends on this module.
     from repro.runtime.blobs import maybe_blob_plane
     from repro.runtime.points import maybe_point_scope
 
     spec = get_spec(experiment_id)
-    with maybe_blob_plane(blob_root), maybe_point_scope(point_root, experiment_id):
+    with maybe_blob_plane(blob_root), maybe_point_scope(point_root):
         if shard_key is None:
             return spec.runner(config)
         if spec.shards is None:

@@ -480,11 +480,10 @@ def run_sweep_unit(
     from repro.runtime.blobs import maybe_blob_plane
     from repro.runtime.points import maybe_point_scope
 
-    unit_id = sweep_unit_id(benchmark, board_sample)
     with maybe_blob_plane(blob_root):
         board = make_board(sample=board_sample, cal=config.cal)
         session = make_session(board, benchmark, config)
-        with maybe_point_scope(point_root, unit_id):
+        with maybe_point_scope(point_root):
             sweep = VoltageSweep(session, config).run()
     return _sweep_result(benchmark, board_sample, sweep)
 
@@ -496,7 +495,6 @@ def measure_round_task(
     f_mhz: float | None,
     config: ExperimentConfig,
     point_root: str | None,
-    scope: str,
     blob_root: str | None = None,
 ) -> list:
     """One dispatched sweep *round*: many planned points, one fabric task.
@@ -521,7 +519,7 @@ def measure_round_task(
     with maybe_blob_plane(blob_root):
         board = make_board(sample=board_sample, cal=config.cal)
         session = make_session(board, benchmark, config)
-        with maybe_point_scope(point_root, scope):
+        with maybe_point_scope(point_root):
             execute = cached_round_measure(session, config, f_mhz)
             outcomes = execute([PlannedPoint(index, v_mv, mode) for index, v_mv, mode in points])
     return [(index, kind, m) for index, (kind, m) in outcomes.items()]
@@ -594,7 +592,6 @@ def run_sweep_unit_remote(
     """
     from repro.core.undervolt import VoltageSweep
 
-    unit_id = sweep_unit_id(benchmark, board_sample)
     session = remote_sweep_session(benchmark, board_sample, config)
 
     def measure_round(points) -> dict:
@@ -605,7 +602,6 @@ def run_sweep_unit_remote(
             None,
             config,
             point_root,
-            unit_id,
             blob_root,
         )
         outcomes = run_tasks([(measure_round_task, task_args)], fabric=fabric)

@@ -38,12 +38,14 @@ coordinator never connects out):
 
 ``POST /complete``
     A worker posts one finished unit: the result payload, its wall
-    time, and the raw text of every point-store entry the unit wrote
-    locally.  The coordinator validates every point entry (through the
-    point store's own parser) and the result *before* the lease board
-    records the completion — a refused post answers 400 and leaves the
-    unit leased — then has the point store write the entries
-    **verbatim** (byte-identity with a single-host run holds by
+    time, and the raw text of every point-store entry it holds under the
+    campaign's config.  The coordinator validates every point entry (it
+    must parse through the point store's own parser, and its fingerprint
+    must recompute from its context under the campaign's config and
+    version), the wall time (a finite number) and the result *before*
+    the lease board records the completion — a refused post answers 400
+    and leaves the unit leased — then has the point store write the
+    entries **verbatim** (byte-identity with a single-host run holds by
     construction: entries are deterministic, and the first writer's
     bytes are kept) and commits the result through the campaign's
     :class:`~repro.runtime.campaign.CampaignLedger`.  Duplicate
@@ -84,7 +86,7 @@ from repro.core.experiment import ExperimentConfig
 from repro.runtime.blobs import BlobStore
 from repro.runtime.cache import ResultCache, result_from_payload
 from repro.runtime.campaign import CampaignLedger, resolve_campaign, sweep_unit_id
-from repro.runtime.hashing import current_version
+from repro.runtime.hashing import current_version, point_fingerprinter
 from repro.runtime.journal import JOURNAL_NAME, CampaignJournal
 from repro.runtime.plan import config_to_wire
 from repro.runtime.points import PointCache
@@ -92,6 +94,7 @@ from repro.runtime.wire import (
     HttpService,
     Request,
     Response,
+    as_float,
     error_bytes,
     json_bytes,
 )
@@ -630,11 +633,16 @@ class CampaignCoordinator(HttpService):
         points = payload.get("points") or {}
         if not isinstance(points, dict):
             raise ValueError("completion points must be a JSON object")
+        fingerprint_of = point_fingerprinter(self.config, current_version())
         for point_fp, text in points.items():
-            self.points.check_shipped(point_fp, unit_id, text)
+            entry = self.points.check_shipped(point_fp, text)
+            if fingerprint_of(entry.context) != point_fp:
+                raise ValueError(f"point entry {point_fp} does not hash to its fingerprint")
         try:
             result = result_from_payload(payload["result"])
-            wall_s = float(payload.get("wall_s", 0.0))
+            wall_s = as_float(payload.get("wall_s", 0.0), "wall_s")
+            if wall_s is None:
+                raise TypeError("'wall_s' is null")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed result for {unit_id!r}: {exc!r}") from None
         if result.experiment_id != unit_id:
@@ -673,7 +681,7 @@ class CampaignCoordinator(HttpService):
         completed it, ``fresh`` otherwise).
         """
         for point_fp, text in points.items():
-            if self.points.store_shipped(point_fp, unit_id, text):
+            if self.points.store_shipped(point_fp, text):
                 self._points_written += 1
             else:
                 self._points_skipped += 1

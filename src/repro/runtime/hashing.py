@@ -18,11 +18,12 @@ an index opens, once per voltage in every sweep round — against one
 fixed ``(config, version)``.  :func:`point_fingerprinter` binds that
 pair once: it encodes the config a single time and keeps a ``sha256``
 already fed with the payload's ``{"config":…,"context":`` prefix, so
-each point only hashes its own context and scope.  The digest is the
-one :func:`point_fingerprint` has always produced: ``sort_keys`` orders
-the payload ``config, context, kind, scope, version``, and a nested
-value encodes to the same text alone as inside its parent under the
-same separators and fallback encoder.
+each point only hashes its own context.  The digest is the sha256 of
+the payload's canonical JSON: ``sort_keys`` orders it ``config,
+context, kind, version``, and a nested value encodes to the same text
+alone as inside its parent under the same separators and fallback
+encoder.  No experiment id is hashed into a point: whichever experiment
+measures a voltage first measures it for every later one.
 """
 
 from __future__ import annotations
@@ -87,42 +88,41 @@ def config_fingerprint(
 def point_fingerprinter(config: ExperimentConfig, version: str | None = None):
     """Bind :func:`point_fingerprint` to one ``(config, version)``.
 
-    Returns ``fingerprint(scope, context) -> str``.  The config is
+    Returns ``fingerprint(context) -> str``.  The config is
     encoded and the version read once, at bind time (see the module
     docstring), so bind one per batch of points, not one per process.
     """
     version = current_version() if version is None else version
     config_json = canonical_json(config.point_semantic_dict())
     prefix = hashlib.sha256(f'{{"config":{config_json},"context":'.encode())
-    tail = f',"version":{canonical_json(version)}}}'
+    tail = f',"kind":"sweep-point","version":{canonical_json(version)}}}'.encode()
 
-    def fingerprint(scope: str, context: dict) -> str:
+    def fingerprint(context: dict) -> str:
         digest = prefix.copy()
         digest.update(canonical_json(context).encode())
-        digest.update(f',"kind":"sweep-point","scope":{canonical_json(scope)}{tail}'.encode())
+        digest.update(tail)
         return digest.hexdigest()[:FINGERPRINT_LEN]
 
     return fingerprint
 
 
 def point_fingerprint(
-    scope: str,
     context: dict,
     config: ExperimentConfig,
     version: str | None = None,
 ) -> str:
     """Stable hex fingerprint of one sweep voltage point.
 
-    Keyed by the owning work unit (``scope`` — experiment id plus shard
-    key), the point's physical identity (``context`` — benchmark, variant,
-    board, voltage, clock, temperature setpoint), the *point-relevant*
-    config (:meth:`ExperimentConfig.point_semantic_dict`, which drops the
-    sweep-plan knobs on top of the execution-only ones), and the library
-    version: the sha256 of the canonical JSON of ``{"kind": "sweep-point",
-    "scope": …, "context": …, "config": …, "version": …}``.  Two sweeps
-    that visit the same voltage under the same unit — a dense grid and an
-    adaptive bisection, or a coarse and a refined step — therefore share
-    the entry bit-for-bit.  Fingerprinting many points under one config?
-    Bind a :func:`point_fingerprinter` once instead.
+    Keyed by the point's physical identity (``context`` — benchmark,
+    variant, board, voltage, clock, temperature setpoint), the
+    *point-relevant* config (:meth:`ExperimentConfig.point_semantic_dict`,
+    which drops the sweep-plan knobs on top of the execution-only ones),
+    and the library version: the sha256 of the canonical JSON of
+    ``{"kind": "sweep-point", "context": …, "config": …, "version": …}``.
+    Any two sweeps that visit the same voltage — a dense grid and an
+    adaptive bisection, a coarse and a refined step, or ``fig3`` and
+    ``fig6`` — therefore share the entry bit-for-bit.  Fingerprinting
+    many points under one config?  Bind a :func:`point_fingerprinter`
+    once instead.
     """
-    return point_fingerprinter(config, version)(scope, context)
+    return point_fingerprinter(config, version)(context)

@@ -7,24 +7,19 @@ point* — the paper's actual unit of measurement.  Each entry records one
 :class:`~repro.core.session.Measurement`, or the fact that the board hung
 there), keyed by a stable hash of
 
-``(work-unit scope, point context, point-relevant config, version)``
+``(point context, point-relevant config, version)``
 
-where the scope is the experiment that owns the sweep (the experiment id
-alone — *not* the shard key, because how the planner sharded the
-experiment is a ``jobs``-dependent execution detail and execution details
-never move cache keys; but deliberately not *narrower* than the
-experiment either: today fig3/fig5/fig6 would measure identical values
-at shared voltages, yet the scope stays as a safety namespace against a
-future experiment whose sweeps perturb the session in ways the context
-below does not capture — cross-experiment sharing is an optimization a
-later PR can take by widening the scope under a version bump), the
-context pins the physical identity of the point
-(benchmark, variant, board sample, clock, temperature setpoint, and the
-voltage itself), and the point-relevant config is
+where the context pins the physical identity of the point (benchmark,
+variant, board sample, clock, temperature setpoint, and the voltage
+itself), and the point-relevant config is
 :meth:`~repro.core.experiment.ExperimentConfig.point_semantic_dict` — the
 semantic knobs minus the sweep-plan fields (``v_step``, ``strategy``,
 ``v_resolution``, ``accuracy_tolerance``), which choose which points get
-visited but never what any one of them measures.
+visited but never what any one of them measures.  The key does not name
+the experiment that measured the point: a point's outcome depends only
+on its context and config, so ``fig3``, ``fig5``, ``fig6`` and a
+``sweep:<benchmark>:board<n>`` unit that visit one voltage share one
+entry, and whichever runs first measures it for all of them.
 
 Consequences, all exercised by ``tests/runtime/test_points.py``:
 
@@ -32,6 +27,7 @@ Consequences, all exercised by ``tests/runtime/test_points.py``:
   served from disk with bit-identical values;
 * refining ``--v-step`` / ``--v-resolution`` or switching ``--strategy``
   re-prices only the voltages never measured before;
+* a later experiment replays every voltage an earlier one measured;
 * a version bump retires every point, while ``batch_budget`` /
   ``point_batch`` flips keep the store warm.
 
@@ -60,7 +56,7 @@ from repro.errors import BoardHangError
 from repro.runtime.cache import EntryStore, atomic_write_text
 from repro.runtime.hashing import FINGERPRINT_RE, current_version, point_fingerprinter
 
-_ENTRY_KEYS = {"fingerprint", "scope", "context", "version", "hang", "measurement"}
+_ENTRY_KEYS = {"fingerprint", "context", "version", "hang", "measurement"}
 _MEASUREMENT_FIELDS = tuple(f.name for f in fields(Measurement))
 _MEASUREMENT_KEYS = set(_MEASUREMENT_FIELDS)
 
@@ -136,7 +132,6 @@ class PointCache(EntryStore):
     def store(
         self,
         fingerprint: str,
-        scope: str,
         context: dict,
         measurement: Measurement | None,
         version: str,
@@ -145,7 +140,6 @@ class PointCache(EntryStore):
         self._prepare_root()
         payload = {
             "fingerprint": fingerprint,
-            "scope": scope,
             "context": context,
             "version": version,
             "hang": measurement is None,
@@ -156,28 +150,24 @@ class PointCache(EntryStore):
         self.stats.stores += 1
         return path
 
-    def check_shipped(self, fingerprint: str, scope: str, text: str) -> PointEntry:
-        """Validate one entry shipped as file text for ``scope``.
+    def check_shipped(self, fingerprint: str, text: str) -> PointEntry:
+        """Validate one entry shipped as file text.
 
-        The fingerprint must name a store file, the text must parse under
-        it (:func:`parse_point_entry`) and the scope must match; else
-        ``ValueError``.
+        The fingerprint must name a store file and the text must parse
+        under it (:func:`parse_point_entry`); else ``ValueError``.
+        Whether the fingerprint recomputes from the entry's context is
+        the receiver's check: only it knows the ``(config, version)``.
         """
         if not isinstance(fingerprint, str) or not FINGERPRINT_RE.fullmatch(fingerprint):
             raise ValueError(f"invalid point fingerprint {fingerprint!r}")
-        entry = parse_point_entry(text, fingerprint)
-        if entry.scope != scope:
-            raise ValueError(
-                f"point entry {fingerprint} belongs to scope {entry.scope!r}, not {scope!r}"
-            )
-        return entry
+        return parse_point_entry(text, fingerprint)
 
-    def store_shipped(self, fingerprint: str, scope: str, text: str) -> bool:
+    def store_shipped(self, fingerprint: str, text: str) -> bool:
         """Write one shipped entry's text verbatim unless the file exists.
 
         Validates first (:meth:`check_shipped`); returns whether it wrote.
         """
-        self.check_shipped(fingerprint, scope, text)
+        self.check_shipped(fingerprint, text)
         path = self.path_for(fingerprint)
         if path.exists():
             return False
@@ -241,15 +231,12 @@ class PointEntry:
     This is the read-side view the characterization query service
     (:mod:`repro.runtime.query`) indexes: unlike :meth:`PointCache.load`,
     which answers "is *this* fingerprint cached?", an entry carries the
-    point's own identity — the work-unit scope and the physical context
-    dict it was measured under — so a reader can reconstruct the datasets
-    a store holds without knowing any fingerprints up front.
+    point's own identity — the physical context dict it was measured
+    under — so a reader can reconstruct the datasets a store holds
+    without knowing any fingerprints up front.
     """
 
     fingerprint: str
-    #: Work unit that measured the point (experiment id, e.g. ``fig3`` or
-    #: ``sweep:vggnet:board0``).
-    scope: str
     #: Physical identity: benchmark/variant/board/voltage/clock/temp (see
     #: :func:`point_context`).
     context: dict
@@ -278,7 +265,6 @@ def parse_point_entry(text: str, fingerprint: str) -> PointEntry:
             raise ValueError("point context must be a dict")
         return PointEntry(
             fingerprint=payload["fingerprint"],
-            scope=str(payload["scope"]),
             context=payload["context"],
             version=str(payload["version"]),
             record=PointRecord(hang=hang, measurement=measurement),
@@ -301,33 +287,25 @@ def read_point_entry(path: str | os.PathLike) -> PointEntry | None:
         return None
 
 
-@dataclass(frozen=True)
-class PointScope:
-    """The point store bound to the currently executing work unit."""
-
-    cache: PointCache
-    scope: str
+_ACTIVE_CACHE: ContextVar[PointCache | None] = ContextVar("repro_point_cache", default=None)
 
 
-_ACTIVE_SCOPE: ContextVar[PointScope | None] = ContextVar("repro_point_scope", default=None)
-
-
-def active_point_scope() -> PointScope | None:
+def active_point_cache() -> PointCache | None:
     """The point store the current work unit runs under, if any."""
-    return _ACTIVE_SCOPE.get()
+    return _ACTIVE_CACHE.get()
 
 
 @contextmanager
-def point_scope(cache: PointCache, scope: str):
-    """Bind a point store + unit scope for the duration of a work unit."""
-    token = _ACTIVE_SCOPE.set(PointScope(cache=cache, scope=scope))
+def point_scope(cache: PointCache):
+    """Bind a point store for the duration of a work unit."""
+    token = _ACTIVE_CACHE.set(cache)
     try:
         yield
     finally:
-        _ACTIVE_SCOPE.reset(token)
+        _ACTIVE_CACHE.reset(token)
 
 
-def maybe_point_scope(point_root: str | os.PathLike | None, scope: str):
+def maybe_point_scope(point_root: str | os.PathLike | None):
     """A :func:`point_scope` for ``point_root``, or a no-op when disabled.
 
     The campaign runtime ships the point-store root to workers as a plain
@@ -335,7 +313,7 @@ def maybe_point_scope(point_root: str | os.PathLike | None, scope: str):
     """
     if point_root is None:
         return nullcontext()
-    return point_scope(PointCache(Path(point_root)), scope)
+    return point_scope(PointCache(Path(point_root)))
 
 
 def point_context(session: AcceleratorSession, vccint_mv: float, f_mhz: float | None) -> dict:
@@ -387,10 +365,7 @@ def cached_round_measure(
     A hang power-cycles the board before returning, so the next round
     starts on a live board.
     """
-    active = active_point_scope()
-    cache = scope = None
-    if active is not None:
-        cache, scope = active.cache, active.scope
+    cache = active_point_cache()
 
     def execute(points) -> dict:
         # Bound once per round: the config is encoded once, not per point.
@@ -399,7 +374,7 @@ def cached_round_measure(
 
         def keys(v_mv: float) -> tuple[str, dict]:
             context = point_context(session, v_mv, f_mhz)
-            return fingerprint_of(scope, context), context
+            return fingerprint_of(context), context
 
         def write_back(v_mv, fingerprint, context, measurement) -> None:
             if cache is None:
@@ -412,7 +387,7 @@ def cached_round_measure(
                 fingerprint, context = keys(v_mv)
                 if cache.path_for(fingerprint).exists():
                     return
-            cache.store(fingerprint, scope, context, measurement, version)
+            cache.store(fingerprint, context, measurement, version)
 
         outcomes: dict[int, tuple] = {}
         pending: list[tuple] = []  # (point, plan, fingerprint, context)

@@ -27,9 +27,8 @@ Three properties make it a service rather than a file reader:
    (:func:`~repro.runtime.hashing.point_fingerprint`) and indexes only
    matching entries, so answers always reflect one coherent
    ``(config, version)`` — the same guarantee the result cache gives.
-   Entries for identical contexts measured under different scopes (e.g.
-   ``fig3`` and ``sweep:vggnet:board0``) are bit-identical by the point
-   store's design and deduplicate deterministically.
+   A context has exactly one fingerprint under that pair, so the points
+   ``fig3`` and ``sweep:vggnet:board0`` both visit are one entry.
 2. **Every query answers from memory.**  Each indexed point keeps its
    parsed :class:`~repro.core.session.Measurement` on its
    :class:`PointRef`, shared with the point store's scan memo
@@ -87,9 +86,10 @@ def to_json(payload) -> str:
     Every consumer — the HTTP handlers, the one-shot CLI, the tests —
     renders through this one function, which is what makes concurrent
     identical queries byte-identical (the service's determinism
-    contract, inherited from the campaign runtime's).
+    contract, inherited from the campaign runtime's).  A ``nan`` or
+    ``inf`` raises ``ValueError``: JSON has no token for either.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -241,12 +241,9 @@ class CharacterizationIndex:
         """Rescan the point store and rebuild the datasets.
 
         Only entries whose fingerprint matches this index's
-        ``(config, version)`` are admitted (see the class docstring);
-        entries sharing a context across scopes deduplicate to the
-        lexicographically smallest fingerprint, which is deterministic
-        because the scan order is.  The landmark memo is dropped: it is
-        derived state, and a point file rewritten in place must never be
-        served from a stale parse.
+        ``(config, version)`` are admitted (see the class docstring).
+        The landmark memo is dropped: it is derived state, and a point
+        file rewritten in place must never be served from a stale parse.
         """
         datasets: dict[DatasetKey, dict[float, PointRef]] = {}
         # One bound fingerprinter per scan: the config is encoded once,
@@ -263,7 +260,7 @@ class CharacterizationIndex:
                 corrupt += 1
                 continue
             context = entry.context
-            expected = fingerprint_of(entry.scope, context)
+            expected = fingerprint_of(context)
             if expected != entry.fingerprint:
                 excluded += 1
                 continue
@@ -289,12 +286,7 @@ class CharacterizationIndex:
                 hang=entry.record.hang,
                 measurement=entry.record.measurement,
             )
-            slot = datasets.setdefault(key, {})
-            prior = slot.get(v_mv)
-            # Duplicate contexts across scopes are bit-identical by the
-            # point store's design; first (smallest fingerprint) wins.
-            if prior is None or ref.fingerprint < prior.fingerprint:
-                slot[v_mv] = ref
+            datasets.setdefault(key, {})[v_mv] = ref
         built = {
             key: _Dataset(
                 key=key,
@@ -689,14 +681,14 @@ class CharacterizationIndex:
         """Make sure one voltage point is measured; ``True`` = alive.
 
         The measurement runs in the calling thread as a one-point sweep
-        round (:func:`~repro.runtime.campaign.measure_round_task`), under
-        the same point scope a ``repro sweep`` of the pair would use, so
-        the stored entry (a hang included) is shared with sweep campaigns
-        and a point already in the store is replayed, not recomputed.
+        round (:func:`~repro.runtime.campaign.measure_round_task`) over
+        the index's point store, so the stored entry (a hang included) is
+        shared with every sweep that visits the voltage, and a point
+        already in the store is replayed, not recomputed.
         Concurrent calls for the same point coalesce into one
         computation.
         """
-        from repro.runtime.campaign import measure_round_task, sweep_unit_id
+        from repro.runtime.campaign import measure_round_task
 
         v_mv = round(float(vccint_mv), 4)
         key = ("point", benchmark, int(board), v_mv, f_mhz)
@@ -709,7 +701,6 @@ class CharacterizationIndex:
                 f_mhz,
                 self.config,
                 str(self._points.root),
-                sweep_unit_id(benchmark, int(board)),
                 str(self._cache.blob_root),
             )
             self.refresh()

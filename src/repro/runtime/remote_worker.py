@@ -26,8 +26,10 @@ compute.  Each cycle it
    cache already holds comes straight back as a cache hit (the
    fingerprint embeds config and version, so skew cannot smuggle stale
    bytes); and
-4. **posts** the result plus the raw text of every point entry the unit
-   produced to ``POST /complete`` for the coordinator to merge.
+4. **posts** the result plus the raw text of every local point entry
+   under the leased config to ``POST /complete`` for the coordinator to
+   merge (an entry an earlier completion shipped is shipped again, and
+   the coordinator skips it).
 
 The transport assumes faults (:mod:`repro.runtime.resilience`): every
 request to the coordinator retries through one loop
@@ -285,25 +287,25 @@ def sync_blobs(client: CoordinatorClient, blob_root: Path) -> int:
     return sum(store.write_raw(name, client.fetch_blob(name)) for name in missing)
 
 
-def _collect_points(points: PointCache, unit_id: str, config) -> dict[str, str]:
-    """Raw text of every local point entry this unit computed under ``config``.
+def _collect_points(points: PointCache, config) -> dict[str, str]:
+    """Raw text of every local point entry measured under ``config``.
 
     Shipped verbatim so the coordinator can merge files byte-identical
-    to the worker's (and, by determinism, to a single-host run's).  The
-    scope alone does not identify the unit's points: a worker's cache
-    may hold the same scope measured under another config (another seed,
-    say) or version, so only entries whose fingerprint recomputes under
-    the leased config and this version are shipped.  ``points`` lives as
-    long as the worker, so its scan memo serves every file an earlier
-    completion already parsed; only the matches are read again.
+    to the worker's (and, by determinism, to a single-host run's).  A
+    worker's cache may hold points measured under another config
+    (another seed, say) or version, so only entries whose fingerprint
+    recomputes under the leased config and this version are shipped.
+    No entry names the unit that measured it, so this ships every
+    matching point the worker holds, earlier units' included.
+    ``points`` lives as long as the worker, so its scan memo serves
+    every file an earlier completion already parsed; only the matches
+    are read again.
     """
     fingerprint_of = point_fingerprinter(config, current_version())
     return {
         entry.fingerprint: path.read_text()
         for path, entry in points.scan()
-        if entry is not None
-        and entry.scope == unit_id
-        and fingerprint_of(unit_id, entry.context) == entry.fingerprint
+        if entry is not None and fingerprint_of(entry.context) == entry.fingerprint
     }
 
 
@@ -467,7 +469,7 @@ def run_worker(
                         "fingerprint": fingerprint,
                         "wall_s": entry.wall_s,
                         "result": result_to_payload(entry.result),
-                        "points": _collect_points(points, unit_id, config),
+                        "points": _collect_points(points, config),
                     }
                 ),
                 "complete",

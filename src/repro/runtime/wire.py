@@ -22,6 +22,7 @@ import asyncio
 import bisect
 import hashlib
 import itertools
+import math
 import signal
 import sys
 import threading
@@ -68,7 +69,8 @@ def json_bytes(payload) -> bytes:
 
     Identical payloads yield byte-identical bodies (sorted keys, fixed
     separators), which is what makes coalesced responses shareable and
-    strong ETags trivial.
+    strong ETags trivial.  A non-finite number raises ``ValueError``
+    (:func:`~repro.runtime.query.to_json` passes ``allow_nan=False``).
     """
     return to_json(payload).encode("utf-8")
 
@@ -114,14 +116,21 @@ def as_int(value: str | None, name: str) -> int | None:
         raise ValueError(f"query parameter {name!r} must be an integer") from None
 
 
-def as_float(value: str | None, name: str) -> float | None:
-    """Coerce an optional query parameter to float (ValueError names it)."""
+def as_float(value: str | float | None, name: str) -> float | None:
+    """Coerce an optional query parameter or body field to a finite float.
+
+    ``nan`` and ``inf`` are refused like any other non-number: no
+    service computes with them or writes them out (ValueError names it).
+    """
     if value is None:
         return None
     try:
-        return float(value)
-    except ValueError:
-        raise ValueError(f"query parameter {name!r} must be a number") from None
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{name!r} must be a finite number")
+    return number
 
 
 def as_bool(value: str | None) -> bool:

@@ -244,7 +244,7 @@ def _fresh_sweep(config, point_root, *, point_batch=None, benchmark="vggnet", sa
 
     board = make_board(sample=sample, cal=config.cal)
     session = make_session(board, benchmark, config)
-    with point_scope(PointCache(Path(point_root)), f"sweep:{benchmark}:board{sample}"):
+    with point_scope(PointCache(Path(point_root))):
         return VoltageSweep(session, config).run(
             start_mv=620.0, point_batch=point_batch
         )

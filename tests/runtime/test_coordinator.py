@@ -281,7 +281,9 @@ class TestCoordinatorHTTP:
         run = coordinator.journal.last_run(coordinator.campaign_id)
         assert run["completed"] == 1
 
-    @pytest.mark.parametrize("tamper", ["wrong-scope", "drifted-measurement", "no-result"])
+    @pytest.mark.parametrize(
+        "tamper", ["wrong-context", "drifted-measurement", "no-result", "nan-wall-time"]
+    )
     def test_invalid_completion_is_refused_before_the_board_completes(self, tmp_path, tamper):
         """A completion the stores would refuse answers 400 and changes
         nothing: the unit stays leased, no point or result lands, and a
@@ -293,13 +295,16 @@ class TestCoordinatorHTTP:
         bad = json.loads(json.dumps(good))
         if tamper == "no-result":
             del bad["result"]
+        elif tamper == "nan-wall-time":
+            bad["wall_s"] = "nan"
         else:
             # Tamper with the last shipped entry, so every entry before it
             # is valid and would land if points were written one by one.
             fp, text = [(fp, t) for fp, t in bad["points"].items() if '"hang": false' in t][-1]
             entry = json.loads(text)
-            if tamper == "wrong-scope":
-                entry["scope"] = sweep_unit_id("vggnet", 1)
+            if tamper == "wrong-context":
+                # Parses and keeps its name, but no longer hashes to it.
+                entry["context"]["board"] = 1
             else:
                 entry["measurement"]["drifted_field"] = 0.0
             del bad["points"][fp]
@@ -631,11 +636,11 @@ class TestCollectPoints:
         cache = ResultCache(tmp_path / "w")
         run_sweep_campaign("vggnet", [0], CFG, cache=cache)
         points = PointCache(cache.point_root)
-        unit_id = sweep_unit_id("vggnet", 0)
-        first = _collect_points(points, unit_id, CFG)
+        first = _collect_points(points, CFG)
         parsed = points.scan_rereads
         assert first and parsed == len(points.entries())
-        assert _collect_points(points, unit_id, CFG) == first
+        assert _collect_points(points, CFG) == first
+        assert _collect_points(points, CFG.with_overrides(seed=7)) == {}
         assert points.scan_rereads == parsed
 
 

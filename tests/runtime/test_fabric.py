@@ -260,7 +260,7 @@ class TestBrokenPool:
             [(unit_id, config_fingerprint(unit_id, CFG))],
         )
         round_args = (
-            "vggnet", 0, prefix, None, CFG, str(cache_b.point_root), unit_id, None,
+            "vggnet", 0, prefix, None, CFG, str(cache_b.point_root), None,
         )
         with WorkerFabric(2) as fabric:
             tasks = [

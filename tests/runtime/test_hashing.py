@@ -40,10 +40,8 @@ class TestPinned:
             "f_mhz": 333.0,
             "t_setpoint_c": None,
         }
-        fingerprint = point_fingerprint(
-            "sweep:vggnet:board0", context, ExperimentConfig(), version="1.2.0"
-        )
-        assert fingerprint == "4ea66d5a1acd3914"
+        fingerprint = point_fingerprint(context, ExperimentConfig(), version="1.2.0")
+        assert fingerprint == "0ef82e583517a08c"
 
 
 class TestStability:
@@ -110,11 +108,10 @@ class TestSensitivity:
         )
 
 
-def payload_point_fingerprint(scope, context, config, version=None):
-    """The original per-call formula, kept verbatim as the oracle."""
+def payload_point_fingerprint(context, config, version=None):
+    """The per-call payload formula, kept as the oracle."""
     payload = {
         "kind": "sweep-point",
-        "scope": scope,
         "context": context,
         "config": config.point_semantic_dict(),
         "version": current_version() if version is None else version,
@@ -123,10 +120,6 @@ def payload_point_fingerprint(scope, context, config, version=None):
     return digest[:FINGERPRINT_LEN]
 
 
-SCOPES = st.one_of(
-    st.sampled_from(["", "fig3", "sweep:vggnet:board0", 'q"uote', "back\\slash", "vé°🔥"]),
-    st.text(max_size=12),
-)
 CONTEXT_VALUES = st.recursive(
     st.one_of(
         st.none(),
@@ -153,35 +146,31 @@ class TestBoundFingerprinter:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        scope=SCOPES,
         context=CONTEXTS,
         config=CONFIGS,
         version=st.one_of(st.none(), st.sampled_from(["1.2.0", "ü-2"])),
     )
-    @example(scope="", context={}, config=ExperimentConfig(), version=None)
+    @example(context={}, config=ExperimentConfig(), version=None)
     @example(
-        scope='a"b\\c é',
         context={"a": None, "b": 1, "c": 1.0, "d": [[1, [2.5, None]], []], "é": "naïve ✓"},
         config=ExperimentConfig(),
         version="1.2.0",
     )
-    def test_matches_the_payload_formula(self, scope, context, config, version):
-        oracle = payload_point_fingerprint(scope, context, config, version)
-        assert point_fingerprinter(config, version)(scope, context) == oracle
-        assert point_fingerprint(scope, context, config, version) == oracle
+    def test_matches_the_payload_formula(self, context, config, version):
+        oracle = payload_point_fingerprint(context, config, version)
+        assert point_fingerprinter(config, version)(context) == oracle
+        assert point_fingerprint(context, config, version) == oracle
 
     def test_int_and_float_contexts_stay_distinct(self):
         bound = point_fingerprinter(ExperimentConfig())
-        assert bound("fig3", {"v": 1}) != bound("fig3", {"v": 1.0})
+        assert bound({"v": 1}) != bound({"v": 1.0})
 
     def test_version_is_read_at_bind_time(self, monkeypatch):
         context = {"vccint_mv": 850.0}
         bound = point_fingerprinter(ExperimentConfig())
-        before = bound("fig3", context)
+        before = bound(context)
         monkeypatch.setattr(repro.version, "__version__", "999.0.0")
-        assert bound("fig3", context) == before
+        assert bound(context) == before
         rebound = point_fingerprinter(ExperimentConfig())
-        assert rebound("fig3", context) != before
-        assert rebound("fig3", context) == payload_point_fingerprint(
-            "fig3", context, ExperimentConfig()
-        )
+        assert rebound(context) != before
+        assert rebound(context) == payload_point_fingerprint(context, ExperimentConfig())

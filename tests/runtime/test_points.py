@@ -25,7 +25,6 @@ from repro.runtime.points import (
 )
 
 CFG = ExperimentConfig(repeats=2, samples=16)
-SCOPE = "fig3[vggnet]"
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +42,14 @@ def fresh_session(workload, config=CFG):
 
 
 def sweep(session, config, cache, start_mv=575.0, floor_mv=530.0):
-    with point_scope(cache, SCOPE):
+    with point_scope(cache):
         return VoltageSweep(session, config).run(start_mv=start_mv, floor_mv=floor_mv)
 
 
 class TestPointKey:
     def test_execution_and_sweep_plan_fields_do_not_move_the_key(self, session):
         context = point_context(session, 570.0, None)
-        base = point_fingerprint(SCOPE, context, CFG)
+        base = point_fingerprint(context, CFG)
         for overrides in (
             {"point_batch": 1},
             {"batch_budget": 7},
@@ -59,26 +58,25 @@ class TestPointKey:
             {"v_resolution": 0.0005},
             {"accuracy_tolerance": 0.05},
         ):
-            assert point_fingerprint(SCOPE, context, CFG.with_overrides(**overrides)) == base
+            assert point_fingerprint(context, CFG.with_overrides(**overrides)) == base
 
     def test_semantic_fields_move_the_key(self, session):
         context = point_context(session, 570.0, None)
-        base = point_fingerprint(SCOPE, context, CFG)
+        base = point_fingerprint(context, CFG)
         for overrides in ({"seed": 7}, {"repeats": 5}, {"samples": 32}, {"width_scale": 0.5}):
-            assert point_fingerprint(SCOPE, context, CFG.with_overrides(**overrides)) != base
+            assert point_fingerprint(context, CFG.with_overrides(**overrides)) != base
 
     def test_version_moves_the_key(self, session):
         context = point_context(session, 570.0, None)
-        assert point_fingerprint(SCOPE, context, CFG, version="1.0.0") != point_fingerprint(
-            SCOPE, context, CFG, version="2.0.0"
+        assert point_fingerprint(context, CFG, version="1.0.0") != point_fingerprint(
+            context, CFG, version="2.0.0"
         )
 
-    def test_scope_voltage_and_clock_move_the_key(self, session):
+    def test_voltage_and_clock_move_the_key(self, session):
         context = point_context(session, 570.0, None)
-        base = point_fingerprint(SCOPE, context, CFG)
-        assert point_fingerprint("fig6[vggnet/1]", context, CFG) != base
-        assert point_fingerprint(SCOPE, point_context(session, 565.0, None), CFG) != base
-        assert point_fingerprint(SCOPE, point_context(session, 570.0, 200.0), CFG) != base
+        base = point_fingerprint(context, CFG)
+        assert point_fingerprint(point_context(session, 565.0, None), CFG) != base
+        assert point_fingerprint(point_context(session, 570.0, 200.0), CFG) != base
 
 
 class TestMeasurementCodec:
@@ -170,7 +168,7 @@ class TestCachedSweeps:
         cold = sweep(fresh_session(workload), CFG, cache)
         assert cold.crash_mv is not None
         session = fresh_session(workload)
-        with point_scope(cache, SCOPE):
+        with point_scope(cache):
             execute = cached_round_measure(session, CFG)
             outcomes = execute([PlannedPoint(0, cold.crash_mv)])
         assert outcomes == {0: ("hang", None)}
@@ -180,10 +178,10 @@ class TestCachedSweeps:
     def test_point_scope_is_jobs_invariant(self, tmp_path):
         """A sharded (jobs>1) run's points are replayed by a serial run.
 
-        Regression: the scope must be the experiment id alone — keying it
-        on the work unit's shard key would give the same voltage point
-        different fingerprints depending on ``--jobs``, silently
-        recomputing whole fleets on a serial rerun of a parallel campaign.
+        Regression: keying a point on the work unit's shard key would
+        give the same voltage point different fingerprints depending on
+        ``--jobs``, silently recomputing whole fleets on a serial rerun of
+        a parallel campaign.
         """
         from repro.experiments.common import fleet_sessions, sweep_to_crash
         from repro.experiments.registry import run_unit
@@ -194,9 +192,9 @@ class TestCachedSweeps:
         run_unit("fig3", ("vggnet",), cfg, str(root))
         cache = PointCache(root)
         assert len(cache.entries()) > 0
-        # As the serial whole-experiment path scopes it: same experiment,
-        # no shard key.  Every vggnet fleet point must replay.
-        with point_scope(cache, "fig3"):
+        # As the serial whole-experiment path runs it: no shard key.
+        # Every vggnet fleet point must replay.
+        with point_scope(cache):
             for session in fleet_sessions("vggnet", cfg):
                 sweep_to_crash(session, cfg, start_mv=620.0)
         assert cache.stats.misses == 0
@@ -206,7 +204,7 @@ class TestCachedSweeps:
     def test_interrupted_sweep_resumes_from_frontier(self, workload, tmp_path):
         cache = PointCache(tmp_path / "points")
         session = fresh_session(workload)
-        with point_scope(cache, SCOPE):
+        with point_scope(cache):
             execute = cached_round_measure(session, CFG)
             for index, v_mv in enumerate((575.0, 570.0, 565.0)):
                 # Partial progress, one round per point, then "crash".
@@ -234,6 +232,46 @@ class TestRoundFingerprinting:
         result = sweep(fresh_session(workload, config), config, PointCache(tmp_path / "points"))
         assert result.points_executed > 2 * result.rounds_executed
         assert len(calls) == result.rounds_executed
+
+
+class TestCrossExperimentReuse:
+    """fig3-fig6 read one campaign: each voltage point is measured once."""
+
+    def test_figures_share_one_measurement_per_context(self, tmp_path, monkeypatch):
+        from repro.runtime import campaign
+        from repro.runtime.cache import ResultCache
+        from repro.runtime.hashing import canonical_json
+        from repro.runtime.plan import ExecutionPlan
+
+        config = ExperimentConfig(repeats=1, samples=8)
+        ids = ["fig3", "fig4", "fig5", "fig6"]
+        shared = ResultCache(tmp_path / "shared")
+        points = PointCache(shared.point_root)
+        new_points = {}
+
+        def counted(experiment_id, *args):
+            before = len(points.entries())
+            result = run_unit(experiment_id, *args)
+            new_points[experiment_id] = len(points.entries()) - before
+            return result
+
+        run_unit = campaign.run_unit
+        monkeypatch.setattr(campaign, "run_unit", counted)
+        together = campaign.run_campaign(ids, config, ExecutionPlan(jobs=1), cache=shared)
+        monkeypatch.undo()
+
+        contexts = {canonical_json(read_point_entry(p).context) for p in points.entries()}
+        assert len(points.entries()) == len(contexts) == 311
+        assert new_points["fig5"] == new_points["fig6"] == 0
+        for experiment_id in ids:
+            alone = campaign.run_campaign(
+                [experiment_id],
+                config,
+                ExecutionPlan(jobs=1),
+                cache=ResultCache(tmp_path / experiment_id),
+            )
+            assert together.entry(experiment_id).result.rows == alone.entries[0].result.rows
+            assert together.entry(experiment_id).result.summary == alone.entries[0].result.summary
 
 
 class TestEntries:

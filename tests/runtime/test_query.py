@@ -89,18 +89,20 @@ class TestIndexBuild:
         assert idx.stats()["points"]["indexed"] >= 50
         assert len(calls) == 1
 
-    def test_context_under_two_scopes_indexes_once(self, tmp_path):
-        """One context under two scopes: the index admits one copy."""
+    def test_context_copied_under_another_name_is_excluded(self, tmp_path):
+        """A context has one file name: a copy under any other is not indexed."""
         run_sweep_campaign("vggnet", [0], CONFIG, cache=ResultCache(tmp_path))
         single = open_index(tmp_path, config=CONFIG).points("vggnet", board=0)
         store = PointCache(tmp_path / "points")
         for path in store.entries():
             payload = json.loads(path.read_text())
-            payload["scope"] = "fig3"
-            payload["fingerprint"] = point_fingerprint("fig3", payload["context"], CONFIG)
+            assert payload["fingerprint"] == point_fingerprint(payload["context"], CONFIG)
+            payload["fingerprint"] = point_fingerprint({**payload["context"], "copy": 1}, CONFIG)
             store.path_for(payload["fingerprint"]).write_text(json.dumps(payload))
         idx = open_index(tmp_path, config=CONFIG)
-        assert idx.stats()["points"]["indexed"] * 2 == len(store.entries())
+        points = idx.stats()["points"]
+        assert points["indexed"] == points["excluded_other_config"]
+        assert points["indexed"] * 2 == len(store.entries())
         assert idx.points("vggnet", board=0) == single
 
     def test_dataset_keys_sorted_and_filtered(self, index):
@@ -263,12 +265,11 @@ class TestReadThrough:
         assert runs == [("vggnet", 0)]  # no re-sweep: served from the store
         assert idx.served_from_cache == served_before + 1
 
-    def test_point_read_through_is_shared_with_sweep_scope(self, tmp_path):
+    def test_point_read_through_is_shared_with_sweeps(self, tmp_path, warm_cache):
         idx = CharacterizationIndex(tmp_path, config=CONFIG)
         assert idx.ensure_point("vggnet", 850.0, board=0) is True
-        store = PointCache(idx.cache_dir / "points")
-        (entry,) = [read_point_entry(p) for p in store.entries()]
-        assert entry.scope == "sweep:vggnet:board0"
+        (path,) = PointCache(idx.cache_dir / "points").entries()
+        assert path.read_bytes() == (warm_cache / "points" / path.name).read_bytes()
         row = idx.point("vggnet", 850.0, board=0)
         assert row["hang"] is False
 
@@ -280,13 +281,14 @@ class TestReadThrough:
         session = make_session(make_board(sample=0, cal=CONFIG.cal), "vggnet", CONFIG)
         assert entry.record.measurement == session.run_at(v_mv)
 
-    def test_ensure_point_below_crash_records_one_hang(self, tmp_path):
+    def test_ensure_point_below_crash_records_one_hang(self, tmp_path, warm_cache):
         idx = CharacterizationIndex(tmp_path, config=CONFIG)
         crash_mv = reference_sweep(0).crash_mv
         assert crash_mv is not None
         assert idx.ensure_point("vggnet", crash_mv, board=0) is False
         entries = [read_point_entry(p) for p in PointCache(idx.cache_dir / "points").entries()]
-        assert [(e.scope, e.record.hang) for e in entries] == [("sweep:vggnet:board0", True)]
+        assert [e.record.hang for e in entries] == [True]
+        assert (warm_cache / "points" / f"{entries[0].fingerprint}.json").exists()
 
     def test_point_compute_flag_fills_exact_misses(self, tmp_path):
         idx = CharacterizationIndex(tmp_path, config=CONFIG)

@@ -6,14 +6,19 @@ that is not plain digits or disagrees with another, any
 ``Transfer-Encoding`` — must be refused with its error status and the
 connection closed, so that body bytes are never parsed as a second
 request on the same connection (request smuggling).
+
+The same core holds the numeric boundary rule both services share: a
+number read from a request must be finite, and no response body carries
+a ``NaN`` or ``Infinity`` token.
 """
 
 import asyncio
+import math
 import socket
 
 import pytest
 
-from repro.runtime.wire import HttpService, Response, json_bytes, read_request
+from repro.runtime.wire import HttpService, Response, as_float, json_bytes, read_request
 
 SMUGGLED = b"GET /smuggled HTTP/1.1\r\n\r\n"
 HEAD = b"POST /complete HTTP/1.1\r\n"
@@ -98,3 +103,22 @@ def test_live_service_answers_413_and_closes_without_dispatching():
     assert refused.startswith(b"413 Content Too Large") and b"Connection: close" in refused
     assert service.dispatched == [("POST", "/complete", b"body")]
     assert service.counters["requests_total"] == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400", math.nan, math.inf])
+def test_as_float_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError, match="'v_mv' must be a finite number"):
+        as_float(value, "v_mv")
+
+
+def test_as_float_passes_finite_numbers_and_absence():
+    assert as_float("850.5", "v_mv") == 850.5
+    assert as_float(0.1, "wall_s") == 0.1
+    assert as_float(None, "v_mv") is None
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_bytes_refuses_non_finite_numbers(value):
+    """Strict JSON out: no ``NaN``/``Infinity`` token ever reaches a body."""
+    with pytest.raises(ValueError):
+        json_bytes({"distance_mv": value})

@@ -155,6 +155,13 @@ class TestErrors:
     def test_bad_param_type_400(self, server):
         self.expect_error(server, "/points?benchmark=vggnet&board=zero", 400)
 
+    @pytest.mark.parametrize("v_mv", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_voltage_400(self, server, v_mv):
+        payload = self.expect_error(
+            server, f"/points?benchmark=vggnet&v_mv={v_mv}&mode=nearest", 400
+        )
+        assert "v_mv" in payload["error"]
+
     def test_compute_disabled_403(self, server):
         payload = self.expect_error(
             server, "/landmarks?benchmark=vggnet&board=1&compute=1", 403
