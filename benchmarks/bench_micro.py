@@ -110,6 +110,23 @@ def test_measurement_repeats10_batched(benchmark, workload):
     assert measurement == _loop_oracle(_repeats10_session(workload), VMIN_EDGE_MV)
 
 
+#: Deep in the critical region, inside board 1's crash-edge collapse band
+#: (Vcrash 540 mV): every realization's compute-layer outputs are noise,
+#: so from the first compute layer on every lane's fault cone covers the
+#: whole batch and the executor runs each lane as a dense lane.
+SATURATED_MV = 542.0
+
+
+@pytest.mark.benchmark(group="repeat-mode")
+def test_measurement_repeats10_saturated(benchmark, workload):
+    """Repeats=10 point where every lane runs dense (must match loop)."""
+    session = _repeats10_session(workload)
+    assert session.plan_point(SATURATED_MV).collapse
+    measurement = benchmark(lambda: session.run_at(SATURATED_MV))
+    assert measurement.repeats == 10
+    assert measurement == _loop_oracle(_repeats10_session(workload), SATURATED_MV)
+
+
 @pytest.mark.benchmark(group="micro")
 def test_bit_flip_kernel(benchmark):
     """The raw bit-flip primitive on a 1M-word tensor."""

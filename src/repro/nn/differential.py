@@ -8,11 +8,17 @@ differ from the fault-free pass only inside its *fault cone* — the samples
 that have absorbed at least one bit flip at an earlier layer.
 
 This executor runs the clean pass once and advances all R realizations
-layer by layer, recomputing only cone samples.  Each layer evaluates the
-union of every realization's cone as one stacked sub-batch along the batch
-axis — a single vectorized NumPy/BLAS call over ``sum_r |cone_r|``
-samples instead of R full batches — which is what makes a repeats=10
-measurement cost little more than one forward pass plus the cones.
+layer by layer, recomputing only cone samples: each layer calls
+``layer.forward`` once per realization (lane), on that lane's cone rows —
+clean rows overlaid with the lane's divergences — so a repeats=10
+measurement costs one forward pass plus the cones instead of R full
+batches.  A lane whose cone covers the whole batch (common deep in the
+critical region, where faults land in every inference) runs as a plain
+dense lane: its inputs are handed over without the gather copy, and the
+cone bookkeeping (peaks outside the cone, growing the cone by flipped
+samples, mapping flip sites to cone rows) is skipped, since an
+all-samples cone has nothing outside it and its rows are the sample
+indices.
 
 Bit-identity with the serial loop rests on three invariants:
 
@@ -166,14 +172,31 @@ def _gather_inputs(
     overlays: dict[str, list[_Overlay | None]],
     r: int,
 ) -> list[np.ndarray]:
-    """Cone samples' input rows: clean values overlaid with divergences."""
+    """Cone samples' input rows: clean values overlaid with divergences.
+
+    Layers never write to their inputs, so a source whose overlay is the
+    whole cone hands over its values, and under a cone that covers the
+    batch a source without an overlay hands over its clean pass: neither
+    is copied.
+    """
     xs = []
     for src in node_inputs:
-        x = clean[src].post[aff]  # fancy index -> fresh copy
         view = overlays[src][r]
-        if view is not None:
-            # view.samples is a subset of aff by construction.
-            x[np.searchsorted(aff, view.samples)] = view.values
+        # view.samples is a subset of aff by construction.
+        if view is not None and view.samples.size == aff.size:
+            xs.append(view.values)
+            continue
+        post = clean[src].post
+        if aff.size == post.shape[0]:
+            if view is None:
+                xs.append(post)
+                continue
+            x = post.copy()
+            x[view.samples] = view.values
+        else:
+            x = post[aff]  # fancy index -> fresh copy
+            if view is not None:
+                x[np.searchsorted(aff, view.samples)] = view.values
         xs.append(x)
     return xs
 
@@ -260,7 +283,10 @@ def forward_repeats(
 
         views: list[_Overlay | None] = []
         for r in range(repeats):
-            aff = _union_samples(node.inputs, overlays, r)
+            aff = _union_samples(node.inputs, overlays, r, n)
+            # A cone that covers the batch is a dense lane: no sample
+            # lies outside it, and its rows are the sample indices.
+            full = aff.size == n
             pre_r = (
                 layer.forward(_gather_inputs(aff, node.inputs, cleans, overlays, r))
                 if aff.size
@@ -272,22 +298,29 @@ def forward_repeats(
 
             # Per-realization quantization format, from the exact peak.
             if aff.size:
-                cone_peak = float(np.max(np.abs(pre_r)))
-                outside = np.delete(cl.sample_peaks, aff)
-                peak = max(
-                    cone_peak, float(outside.max()) if outside.size else 0.0
-                )
+                peak = float(np.max(np.abs(pre_r)))
+                if not full:
+                    outside = np.delete(cl.sample_peaks, aff)
+                    peak = max(peak, float(outside.max()))
                 frac_r = frac_bits_for_peak(peak, activation_bits)
             else:
                 frac_r = cl.frac_bits
             fmt_r = QuantFormat(bits=activation_bits, frac_bits=frac_r)
 
-            if frac_r != cl.frac_bits:
+            plan = plans[r] if plans is not None else None
+            if plan is not None and plan.kind == "randomize":
+                # The noise replaces every stored word: of the recompute,
+                # only its peak (the format) survives.
+                stored = plan.noise.astype(np.int32)
+                views.append(_Overlay(all_samples, dequantize_array(stored, fmt_r)))
+                continue
+
+            if frac_r != cl.frac_bits and not full:
                 # Format drift: unaffected samples requantize differently
-                # from the clean pass, so the whole batch joins the cone.
+                # from the clean pass, so the whole batch joins the cone
+                # (a dense lane holds it already).
                 stored = quantize_array(cl.pre, fmt_r)
-                if aff.size:
-                    stored[aff] = quantize_array(pre_r, fmt_r)
+                stored[aff] = quantize_array(pre_r, fmt_r)
                 samples = all_samples
             elif aff.size:
                 stored = quantize_array(pre_r, fmt_r)
@@ -296,28 +329,26 @@ def forward_repeats(
                 stored = None
                 samples = aff  # empty
 
-            plan = plans[r] if plans is not None else None
-            if plan is not None and plan.kind == "randomize":
-                stored = plan.noise.astype(np.int32)
-                samples = all_samples
-            elif plan is not None and plan.kind == "flips":
-                site_samples = plan.indices // sample_size
-                extra = np.setdiff1d(site_samples, samples)
-                if extra.size:
-                    merged = np.union1d(samples, extra)
-                    grown = np.empty(
-                        (merged.size,) + sample_shape, dtype=np.int32
-                    )
-                    if samples.size:
-                        grown[np.searchsorted(merged, samples)] = stored
-                    grown[np.searchsorted(merged, extra)] = cl.stored[extra]
-                    samples, stored = merged, grown
-                rows = np.searchsorted(samples, site_samples)
+            if plan is not None and plan.kind == "flips":
+                if samples.size == n:
+                    # Dense lane: each site's row is its own sample.
+                    sites = plan.indices
+                else:
+                    site_samples = plan.indices // sample_size
+                    extra = np.setdiff1d(site_samples, samples)
+                    if extra.size:
+                        merged = np.union1d(samples, extra)
+                        grown = np.empty(
+                            (merged.size,) + sample_shape, dtype=np.int32
+                        )
+                        if samples.size:
+                            grown[np.searchsorted(merged, samples)] = stored
+                        grown[np.searchsorted(merged, extra)] = cl.stored[extra]
+                        samples, stored = merged, grown
+                    rows = np.searchsorted(samples, site_samples)
+                    sites = rows * sample_size + plan.indices % sample_size
                 flip_stored_bits(
-                    stored,
-                    activation_bits,
-                    rows * sample_size + plan.indices % sample_size,
-                    plan.bit_positions,
+                    stored, activation_bits, sites, plan.bit_positions
                 )
 
             views.append(
@@ -386,13 +417,13 @@ def forward_points(
 
     ``planners`` is one :class:`~repro.faults.injector.BatchedFaultInjector`
     per voltage point; all realizations of all points advance through the
-    graph together, so every layer evaluates the union of every lane's
-    fault cone as a single fixed-shape GEMM batch — one engine pass per
-    sweep round instead of one per point.  Returns one ``(R_i, n, ...)``
+    graph together as lanes of one :func:`forward_repeats` call, sharing
+    its one clean pass — one engine pass per sweep round instead of one
+    per point.  Returns one ``(R_i, n, ...)``
     array per planner, where each row is bit-identical to the same
     realization under a solo :func:`forward_repeats` call (and hence to
     the serial per-point loop): the per-lane cone math is untouched, the
-    stack only widens the batch axis it runs on.
+    stack only adds lanes.
     """
     planners = list(planners)
     if not planners:
@@ -530,12 +561,16 @@ def _union_samples(
     node_inputs: tuple[str, ...],
     overlays: dict[str, list[_Overlay | None]],
     r: int,
+    n: int,
 ) -> np.ndarray:
     views = [
         overlays[src][r] for src in node_inputs if overlays[src][r] is not None
     ]
     if not views:
         return np.empty(0, dtype=np.intp)
+    for view in views:
+        if view.samples.size == n:
+            return view.samples  # covers the batch: it is the union
     if len(views) == 1:
         return views[0].samples
     return np.unique(np.concatenate([v.samples for v in views]))

@@ -16,17 +16,23 @@ Conv2D and Dense achieve this with one fixed-shape GEMM per sample
 a time — and every other layer is per-sample elementwise or windowed math.
 The copy-on-divergence repeat executor (:mod:`repro.nn.differential`)
 depends on this property to recompute only fault-affected samples.
+
+Windowed layers read their input through a strided sliding-window view.
+Padding writes the input into one preallocated buffer of the fill value
+(:func:`_pad_hw`; no copy when there is none), Conv2D lowers the window
+view to an im2col matrix, and MaxPool folds the window offsets with
+elementwise ``np.maximum`` in row-major order.  No layer writes to its
+inputs: the executor hands a lane's overlay (or the retained clean pass)
+to ``forward`` without copying it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.nn.tensor import QuantFormat, QuantizedTensor, choose_frac_bits
 
 
 class Layer:
@@ -67,6 +73,22 @@ def _require_single(inputs: list, layer: Layer) -> np.ndarray:
     if len(inputs) != 1:
         raise GraphError(f"{layer!r} expects exactly one input, got {len(inputs)}")
     return inputs[0]
+
+
+def _pad_hw(
+    x: np.ndarray, top: int, bottom: int, left: int, right: int, fill: float
+) -> np.ndarray:
+    """``x`` with ``fill`` borders on its H and W axes (``x`` itself if none).
+
+    The same bytes as ``np.pad(..., constant_values=fill)``: one buffer
+    filled once, with the input written into its interior.
+    """
+    if not (top or bottom or left or right):
+        return x
+    n, h, w, c = x.shape
+    out = np.full((n, h + top + bottom, w + left + right, c), fill, dtype=x.dtype)
+    out[:, top : top + h, left : left + w, :] = x
+    return out
 
 
 class Conv2D(Layer):
@@ -142,7 +164,7 @@ class Conv2D(Layer):
         kh, kw, _, _ = self.weights.shape
         pt, pb = self._pad_amount(h, kh)
         pl, pr = self._pad_amount(w, kw)
-        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        xp = _pad_hw(x, pt, pb, pl, pr, 0.0)
         hp, wp = xp.shape[1], xp.shape[2]
         oh = (hp - kh) // self.stride + 1
         ow = (wp - kw) // self.stride + 1
@@ -256,12 +278,7 @@ class _Pool(Layer):
         n, h, w, c = x.shape
         pt, pb = self._pad_amount(h)
         pl, pr = self._pad_amount(w)
-        if pt or pb or pl or pr:
-            x = np.pad(
-                x,
-                ((0, 0), (pt, pb), (pl, pr), (0, 0)),
-                constant_values=self.pad_value,
-            )
+        x = _pad_hw(x, pt, pb, pl, pr, self.pad_value)
         h, w = x.shape[1], x.shape[2]
         oh = (h - self.pool) // self.stride + 1
         ow = (w - self.pool) // self.stride + 1
@@ -280,8 +297,17 @@ class MaxPool(_Pool):
     pad_value = -np.inf
 
     def forward(self, inputs: list[np.ndarray]) -> np.ndarray:
-        x = _require_single(inputs, self)
-        return self._windows(x).max(axis=(3, 4))
+        # Elementwise maxima over the pool x pool window offsets in
+        # row-major order: the same bytes as reducing the 6-D window view
+        # with ``.max(axis=(3, 4))`` (ties, ±0 included, resolve the same
+        # way), without the strided reduce.
+        windows = self._windows(_require_single(inputs, self))
+        out = np.array(windows[:, :, :, 0, 0])
+        for i in range(self.pool):
+            for j in range(self.pool):
+                if i or j:
+                    np.maximum(out, windows[:, :, :, i, j], out=out)
+        return out
 
 
 class AvgPool(_Pool):
@@ -338,7 +364,9 @@ class BatchNorm(Layer):
         return int(self.scale.size + self.shift.size)
 
     def forward(self, inputs: list[np.ndarray]) -> np.ndarray:
-        return _require_single(inputs, self) * self.scale + self.shift
+        out = _require_single(inputs, self) * self.scale
+        out += self.shift
+        return out
 
 
 class Softmax(Layer):

@@ -80,7 +80,7 @@ def frac_bits_for_peak(peak: float, bits: int) -> int:
     # Want peak <= qmax * 2^-frac  =>  frac <= log2(qmax / peak).
     frac = int(np.floor(np.log2(qmax / peak)))
     # Clamp to a sane window so degenerate tensors stay representable.
-    return int(np.clip(frac, -16, 16))
+    return min(max(frac, -16), 16)
 
 
 def choose_frac_bits(data: np.ndarray, bits: int) -> int:
@@ -96,16 +96,23 @@ def quantize_array(data: np.ndarray, fmt: QuantFormat) -> np.ndarray:
     two is exact in either precision (an exponent shift; overflow saturates
     through the clip, and sub-denormal losses all round to zero), so the
     fast path lands bit-identical integers to the float64 reference while
-    skipping the widening copy.
+    skipping the widening copy.  Round and clip run in place on the one
+    scaled temporary.
     """
     data = np.asarray(data)
     if data.dtype == np.float32:
         # Overflow to inf is fine: the clip saturates it, matching the
-        # float64 reference.
+        # float64 reference.  ``out=`` keeps a 0-d input's product an
+        # array, so the in-place steps below apply to it too.
         with np.errstate(over="ignore"):
-            scaled = np.round(data * np.float32(2.0 ** fmt.frac_bits))
-    else:
-        scaled = np.round(np.asarray(data, dtype=np.float64) / fmt.scale)
+            scaled = np.multiply(
+                data, np.float32(2.0 ** fmt.frac_bits),
+                out=np.empty(data.shape, dtype=np.float32),
+            )
+        np.round(scaled, out=scaled)
+        np.clip(scaled, fmt.qmin, fmt.qmax, out=scaled)
+        return scaled.astype(np.int32)
+    scaled = np.round(np.asarray(data, dtype=np.float64) / fmt.scale)
     return np.clip(scaled, fmt.qmin, fmt.qmax).astype(np.int32)
 
 

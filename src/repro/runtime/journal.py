@@ -144,8 +144,11 @@ class CampaignJournal:
     def _write(self, payload: dict) -> None:
         from repro.runtime.cache import atomic_write_text
 
+        # Strict JSON: a non-finite number raises ValueError here, before
+        # anything is written, instead of landing as a NaN token.
+        text = json.dumps(payload, indent=1, allow_nan=False)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self.path, json.dumps(payload, indent=1))
+        atomic_write_text(self.path, text)
 
     # ------------------------------------------------------------------
     # Campaign lifecycle

@@ -67,7 +67,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import os
 import socket
 import time
@@ -91,6 +90,7 @@ from repro.runtime.resilience import (
     RetryPolicy,
     call_with_retries,
 )
+from repro.runtime.wire import as_seconds
 
 
 class WorkerError(RuntimeError):
@@ -124,21 +124,6 @@ class TransientProtocolError(RuntimeError):
 RETRYABLE = (CoordinatorUnreachable, TransientProtocolError)
 
 
-def _coordinator_seconds(value) -> float | None:
-    """A duration the coordinator sent, as finite seconds >= 0, or ``None``.
-
-    Used for a ``Retry-After`` header, a ``wait`` answer's
-    ``retry_after_s`` and a lease's ``ttl_s``: anything that is not a
-    finite number (``"soon"``, ``null``, ``inf``) is ``None``, so the
-    caller falls back to its own backoff or refuses the lease.
-    """
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        return None
-    return max(0.0, seconds) if math.isfinite(seconds) else None
-
-
 class CoordinatorClient:
     """Blocking HTTP client for the coordinator's JSON protocol.
 
@@ -169,7 +154,7 @@ class CoordinatorClient:
             if exc.code >= 500:
                 raise TransientProtocolError(
                     f"{method} {path} answered {exc.code}",
-                    retry_after_s=_coordinator_seconds((exc.headers or {}).get("Retry-After")),
+                    retry_after_s=as_seconds((exc.headers or {}).get("Retry-After")),
                 ) from None
             # 4xx is the coordinator answering deliberately (409
             # fingerprint rejection, 400 bad request): hand the body up.
@@ -381,7 +366,7 @@ def run_worker(
                 break
             if status == "wait":
                 stats.retries += 1
-                retry_after_s = _coordinator_seconds(response.get("retry_after_s"))
+                retry_after_s = as_seconds(response.get("retry_after_s"))
                 sleep(policy.delay(wait_attempt, retry_after_s))
                 wait_attempt += 1
                 continue
@@ -399,7 +384,7 @@ def run_worker(
                 fingerprint = unit["fingerprint"]
                 lease_id = response["lease_id"]
                 config = config_from_wire(response["config"])
-                ttl_s = _coordinator_seconds(response.get("ttl_s", 60.0))
+                ttl_s = as_seconds(response.get("ttl_s", 60.0))
                 if not ttl_s:
                     raise ValueError(f"ttl_s {response['ttl_s']!r} is not a finite number > 0")
             except (KeyError, TypeError, ValueError, ReproError) as exc:

@@ -116,6 +116,15 @@ def as_int(value: str | None, name: str) -> int | None:
         raise ValueError(f"query parameter {name!r} must be an integer") from None
 
 
+def _finite(value) -> float | None:
+    """``value`` as a finite float, or ``None`` when it is not one."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return number if math.isfinite(number) else None
+
+
 def as_float(value: str | float | None, name: str) -> float | None:
     """Coerce an optional query parameter or body field to a finite float.
 
@@ -124,13 +133,24 @@ def as_float(value: str | float | None, name: str) -> float | None:
     """
     if value is None:
         return None
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not math.isfinite(number):
+    number = _finite(value)
+    if number is None:
         raise ValueError(f"{name!r} must be a finite number")
     return number
+
+
+def as_seconds(value) -> float | None:
+    """A duration a service sent, as finite seconds >= 0, or ``None``.
+
+    The client side of :func:`as_float`'s rule, for the worker reading
+    a ``Retry-After`` header, a ``wait`` answer's ``retry_after_s`` and
+    a lease's ``ttl_s``: anything that is not a finite number
+    (``"soon"``, ``null``, ``inf``) is ``None``, so the caller falls
+    back to its own backoff or refuses the lease, and a negative
+    duration is zero.
+    """
+    seconds = _finite(value)
+    return None if seconds is None else max(0.0, seconds)
 
 
 def as_bool(value: str | None) -> bool:
@@ -545,6 +565,7 @@ __all__ = [
     "as_bool",
     "as_float",
     "as_int",
+    "as_seconds",
     "error_bytes",
     "etag_matches",
     "first_param",

@@ -327,3 +327,107 @@ class TestVoltageBatchedSweepProperty:
             batched = _fresh_sweep(config, root_bad, point_batch=8)
             with pytest.raises(AssertionError):
                 _assert_sweeps_identical(reference, batched, root_ref, root_bad)
+
+
+def _merge_graph():
+    """A small graph whose merges see a source that covers the cone next
+    to one that does not: ``add`` sums ``c2`` (cone grows by its own
+    flips) with ``r1`` (cone of ``c1`` only); ``cat`` joins ``add`` with
+    the input, which never diverges."""
+    from repro.nn.graph import Graph
+    from repro.nn.layers import Add, Concat, Conv2D, Dense, Flatten, Input, MaxPool, ReLU
+
+    rng = np.random.default_rng(5)
+    graph = Graph("merge")
+    graph.add(Input("in", (6, 6, 2)))
+    graph.add(Conv2D("c1", rng.normal(size=(3, 3, 2, 4))), ["in"])
+    graph.add(ReLU("r1"), ["c1"])
+    graph.add(Conv2D("c2", rng.normal(size=(3, 3, 4, 4)) * 0.3), ["r1"])
+    graph.add(Add("add"), ["c2", "r1"])
+    graph.add(Concat("cat"), ["add", "in"])
+    graph.add(MaxPool("pool", pool=2), ["cat"])
+    graph.add(Flatten("flat"), ["pool"])
+    graph.add(Dense("fc", rng.normal(size=(54, 5)) * 0.2), ["flat"])
+    return graph
+
+
+class TestDenseLanes:
+    """Lanes whose cones cover the batch run dense; every lane still
+    equals its serial injected pass bit for bit."""
+
+    N = 8
+    #: (exposure, p_per_op, control_collapse) per point: fault-free lanes
+    #: (empty cones), sparse lanes (partial cones that grow at c2), dense
+    #: lanes (c1 hits every sample), lanes whose c2 alone covers the batch
+    #: (``add`` merges it with r1's partial cone), and control collapse
+    #: (randomized tensors).
+    EVEN = {"c1": 1.0, "c2": 1.0, "fc": 1.0}
+    POINTS = (
+        (EVEN, 0.0, False),
+        (EVEN, 0.15, False),
+        (EVEN, 6.0, False),
+        ({"c1": 0.3, "c2": 40.0, "fc": 1.0}, 1.0, False),
+        (EVEN, 0.0, True),
+    )
+
+    def test_mixed_cones_match_serial_passes(self, monkeypatch):
+        from repro.nn import differential
+
+        graph = _merge_graph()
+        images = np.random.default_rng(6).normal(size=(self.N, 6, 6, 2)).astype(np.float32)
+        names = [[f"p{i}/r{r}" for r in range(8)] for i in range(len(self.POINTS))]
+
+        seen = []
+        gather = differential._gather_inputs
+
+        def spy(aff, node_inputs, clean, overlays, r):
+            views = [overlays[src][r] for src in node_inputs]
+            seen.append(
+                (
+                    aff.size,
+                    tuple(
+                        "none" if v is None else "cover" if v.samples.size == aff.size else "part"
+                        for v in views
+                    ),
+                )
+            )
+            return gather(aff, node_inputs, clean, overlays, r)
+
+        monkeypatch.setattr(differential, "_gather_inputs", spy)
+        planners = [
+            BatchedFaultInjector(
+                exposure_ops=exposure,
+                p_per_op=p,
+                rngs=[child_rng(11, name) for name in names[i]],
+                batch_size=self.N,
+                control_collapse=collapse,
+            )
+            for i, (exposure, p, collapse) in enumerate(self.POINTS)
+        ]
+        lanes = forward_points(graph, images, 8, planners)
+
+        for i, (exposure, p, collapse) in enumerate(self.POINTS):
+            for r, name in enumerate(names[i]):
+                injector = FaultInjector(
+                    exposure_ops=exposure,
+                    p_per_op=p,
+                    rng=child_rng(11, name),
+                    batch_size=self.N,
+                    control_collapse=collapse,
+                )
+                serial = graph.forward(images, activation_bits=8, activation_hook=injector)
+                assert lanes[i][r].tobytes() == serial.tobytes(), (i, r)
+        assert np.array_equal(lanes[0], np.repeat(graph.forward(images)[None], 8, axis=0))
+
+        # The lanes really exercised each path of the executor.
+        merges = [kinds for size, kinds in seen if len(kinds) > 1]
+        assert any(size == self.N for size, _ in seen), "no dense lane"
+        assert any(0 < size < self.N for size, _ in seen), "no partial cone"
+        assert ("cover", "part") in merges, "no merge of a covering and a partial source"
+        assert (self.N, ("cover", "part")) in seen, "no dense merge with a partial source"
+        assert any(
+            size == self.N and kinds == ("cover", "none") for size, kinds in seen
+        ), "no dense merge with a clean source"
+        assert any(
+            0 < size < self.N and kinds == ("cover", "none") for size, kinds in seen
+        ), "no sparse merge with a clean source"

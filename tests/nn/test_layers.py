@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.errors import GraphError
 from repro.nn.layers import (
@@ -86,6 +90,82 @@ class TestConv2D:
     def test_bias_shape_checked(self):
         with pytest.raises(GraphError):
             Conv2D("c", RNG.normal(size=(3, 3, 4, 8)), bias=np.zeros(4))
+
+
+def _padded_windows(x, pads, fill, k, stride):
+    """Reference sliding windows: ``np.pad``, then an (n, oh, ow, k, k, c) view."""
+    (pt, pb), (pl, pr) = pads
+    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)), constant_values=fill)
+    view = sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+    return view.transpose(0, 1, 2, 4, 5, 3)
+
+
+#: Activation-like values, signed zeros included: the byte oracles below
+#: must agree on which zero a tie keeps.
+_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -3.0, 0.25, 7.5]
+).map(np.float32)
+
+_GEOMETRY = dict(
+    n=st.integers(1, 3),
+    h=st.integers(3, 8),
+    w=st.integers(3, 8),
+    c=st.integers(1, 4),
+    k=st.integers(1, 3),
+    stride=st.integers(1, 3),
+    padding=st.sampled_from(["same", "valid"]),
+)
+
+
+class TestWindowedLayerOracles:
+    """The rewritten windowed layers give the bytes of their ``np.pad``
+    and strided-reduce references: the executor's byte-identity with the
+    serial loop rests on them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), **_GEOMETRY)
+    def test_conv2d_matches_np_pad_reference(self, data, n, h, w, c, k, stride, padding):
+        co = data.draw(st.integers(1, 4), label="co")
+        x = data.draw(arrays(np.float32, (n, h, w, c), elements=_VALUES), label="x")
+        weights = data.draw(arrays(np.float32, (k, k, c, co), elements=_VALUES), label="w")
+        bias = data.draw(arrays(np.float32, (co,), elements=_VALUES), label="b")
+        layer = Conv2D("c", weights, bias, stride=stride, padding=padding)
+        pads = (layer._pad_amount(h, k), layer._pad_amount(w, k))
+        windows = _padded_windows(x, pads, 0.0, k, stride)
+        oh, ow = windows.shape[1:3]
+        cols = windows.reshape(n, oh * ow, k * k * c)
+        want = (cols @ weights.reshape(-1, co) + bias).reshape(n, oh, ow, co)
+        got = layer.forward([x])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), **_GEOMETRY)
+    def test_maxpool_matches_strided_reduce(self, data, n, h, w, c, k, stride, padding):
+        x = data.draw(arrays(np.float32, (n, h, w, c), elements=_VALUES), label="x")
+        layer = MaxPool("p", pool=k, stride=stride, padding=padding)
+        pads = (layer._pad_amount(h), layer._pad_amount(w))
+        want = _padded_windows(x, pads, -np.inf, k, stride).max(axis=(3, 4))
+        assert np.array_equal(layer._windows(x), _padded_windows(x, pads, -np.inf, k, stride))
+        got = layer.forward([x])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), **_GEOMETRY)
+    def test_avgpool_matches_np_pad_reference(self, data, n, h, w, c, k, stride, padding):
+        x = data.draw(arrays(np.float32, (n, h, w, c), elements=_VALUES), label="x")
+        layer = AvgPool("p", pool=k, stride=stride, padding=padding)
+        pads = (layer._pad_amount(h), layer._pad_amount(w))
+        want = _padded_windows(x, pads, 0.0, k, stride).mean(axis=(3, 4))
+        assert layer.forward([x]).tobytes() == want.tobytes()
+
+    def test_maxpool_keeps_the_last_zero_of_a_tie_like_the_reduce(self):
+        x = np.array([0.0, -0.0, -0.0, -0.0], dtype=np.float32).reshape(1, 2, 2, 1)
+        for pool_input in (x, -x):
+            layer = MaxPool("p", pool=2)
+            want = _padded_windows(pool_input, ((0, 0), (0, 0)), -np.inf, 2, 2).max(axis=(3, 4))
+            assert layer.forward([pool_input]).tobytes() == want.tobytes()
 
 
 class TestDense:

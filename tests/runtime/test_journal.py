@@ -77,6 +77,20 @@ class TestJournalFile:
         assert journal.begin("camp", [("a", "f1")], resume=False) == set()
         assert journal.completed_fingerprints("camp") == set()
 
+    @pytest.mark.parametrize("wall_s", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_record_is_refused_before_writing(self, tmp_path, wall_s):
+        """The journal is strict JSON: a record holding a non-finite
+        number raises and leaves the file exactly as it was, instead of
+        writing a ``NaN``/``Infinity`` token no strict reader accepts."""
+        path = tmp_path / "journal.json"
+        journal = CampaignJournal(path)
+        journal.begin("camp", [("a", "f1")])
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            journal.record_unit("camp", "f1", cache_hit=False, wall_s=wall_s)
+        assert path.read_bytes() == before
+        assert journal.campaign("camp")["units"]["f1"]["status"] == "planned"
+
     def test_corrupt_journal_reads_as_empty(self, tmp_path):
         path = tmp_path / "journal.json"
         path.write_text("{not json")

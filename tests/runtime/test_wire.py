@@ -18,7 +18,14 @@ import socket
 
 import pytest
 
-from repro.runtime.wire import HttpService, Response, as_float, json_bytes, read_request
+from repro.runtime.wire import (
+    HttpService,
+    Response,
+    as_float,
+    as_seconds,
+    json_bytes,
+    read_request,
+)
 
 SMUGGLED = b"GET /smuggled HTTP/1.1\r\n\r\n"
 HEAD = b"POST /complete HTTP/1.1\r\n"
@@ -115,6 +122,26 @@ def test_as_float_passes_finite_numbers_and_absence():
     assert as_float("850.5", "v_mv") == 850.5
     assert as_float(0.1, "wall_s") == 0.1
     assert as_float(None, "v_mv") is None
+
+
+def test_as_float_refuses_an_int_too_large_for_a_float():
+    with pytest.raises(ValueError, match="'wall_s' must be a finite number"):
+        as_float(10**400, "wall_s")
+
+
+@pytest.mark.parametrize(
+    "value", ["soon", None, [], {}, "nan", "inf", math.nan, -math.inf, 10**400]
+)
+def test_as_seconds_is_none_for_anything_but_a_finite_number(value):
+    """The worker's side of the same rule: no exception, just absence."""
+    assert as_seconds(value) is None
+
+
+@pytest.mark.parametrize(
+    "value, seconds", [("2.5", 2.5), (3, 3.0), (0.25, 0.25), ("-4", 0.0), (-0.5, 0.0)]
+)
+def test_as_seconds_passes_finite_durations_clamped_at_zero(value, seconds):
+    assert as_seconds(value) == seconds
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
