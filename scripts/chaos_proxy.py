@@ -1,5 +1,8 @@
 """Deterministic fault injection for the distributed campaign fabric.
 
+Test support, not product: ``scripts/chaos_smoke.py`` and
+``tests/runtime/test_chaos.py`` import it; nothing under ``src/`` does.
+
 The paper operates hardware past its guardband, where faults are the
 expected case to be characterized — not an anomaly to be assumed away.
 This module applies the same discipline to the fabric's transport: a
@@ -28,44 +31,35 @@ Two pieces:
   relays verbatim.  Per-kind counters let the chaos smoke assert every
   fault kind actually fired.
 
-There is also the *poison unit* hook: :func:`poison_units` reads unit
-ids from ``REPRO_CHAOS_POISON_UNITS``, and a worker refuses to execute
-them (raising :class:`PoisonedUnitError`, reported to the coordinator
-as a unit failure).  That is the deterministic stand-in for a unit that
-reliably crashes whatever worker leases it — the scenario the
-coordinator's quarantine exists for.
+Run as a script, the module is the *poison worker* launcher:
+``python scripts/chaos_proxy.py <unit_id> worker --connect <url> ...``
+runs ``repro-undervolt`` with the given arguments, but every sweep unit
+named ``<unit_id>`` raises when executed.  That is the deterministic
+stand-in for a unit that reliably crashes whatever worker leases it —
+the scenario the coordinator's quarantine exists for — and its failure
+takes the worker's real ``/fail`` path.
 """
 
 from __future__ import annotations
 
-import os
+import pathlib
 import socket
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.rng import child_rng
+if __name__ == "__main__":
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from repro.rng import child_rng  # noqa: E402
 
 #: The fault kinds a schedule can plan (``pass`` = relay verbatim).
 FAULT_KINDS = ("pass", "reset", "delay", "truncate", "error")
 
-#: Environment variable naming units a worker must refuse to execute
-#: (comma-separated unit ids) — the deterministic poison-unit hook.
-POISON_ENV = "REPRO_CHAOS_POISON_UNITS"
-
 #: Canned 5xx the proxy answers with under an ``error`` plan.
 _ERROR_BODY = b'{"error": "chaos: injected 503"}'
-
-
-class PoisonedUnitError(RuntimeError):
-    """Raised by a worker refusing to execute a poisoned unit."""
-
-
-def poison_units() -> frozenset:
-    """Unit ids poisoned via ``REPRO_CHAOS_POISON_UNITS`` (read per call)."""
-    raw = os.environ.get(POISON_ENV, "")
-    return frozenset(part.strip() for part in raw.split(",") if part.strip())
 
 
 @dataclass(frozen=True)
@@ -358,13 +352,38 @@ class ChaosProxy:
             return _read_http_message(upstream.makefile("rb"))
 
 
-__all__ = [
-    "FAULT_KINDS",
-    "POISON_ENV",
-    "ChaosProxy",
-    "FaultPlan",
-    "FaultSchedule",
-    "FixedSchedule",
-    "PoisonedUnitError",
-    "poison_units",
-]
+def poison_worker_command(unit_id: str) -> list[str]:
+    """The argv prefix that launches ``repro-undervolt`` with ``unit_id`` poisoned.
+
+    Append the usual CLI arguments (``worker --connect <url> ...``).
+    """
+    return [sys.executable, str(pathlib.Path(__file__).resolve()), unit_id]
+
+
+def run_poisoned(unit_id: str, cli_args: list[str]) -> int:
+    """Run the CLI with every execution of sweep unit ``unit_id`` raising.
+
+    Wraps the worker's ``run_sweep_campaign`` (matched by
+    :func:`repro.runtime.campaign.sweep_unit_id`), so the failure goes
+    through the worker's own ``/fail`` report and the coordinator's
+    strikes, exactly as a unit that crashes for real would.
+    """
+    from repro import cli
+    from repro.runtime import remote_worker
+    from repro.runtime.campaign import sweep_unit_id
+
+    real = remote_worker.run_sweep_campaign
+
+    def poisoned(benchmark, boards, *args, **kwargs):
+        if any(sweep_unit_id(benchmark, board) == unit_id for board in boards):
+            raise RuntimeError(f"unit {unit_id!r} is poisoned for this run")
+        return real(benchmark, boards, *args, **kwargs)
+
+    remote_worker.run_sweep_campaign = poisoned
+    return cli.main(cli_args)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 3:
+        sys.exit(f"usage: {sys.argv[0]} <unit_id> <repro-undervolt arguments...>")
+    sys.exit(run_poisoned(sys.argv[1], sys.argv[2:]))

@@ -6,9 +6,9 @@ coordinate`` / ``worker``), holding the fabric to the same bar as the
 plain distributed smoke — byte-identity with a single-host serial run —
 but under deliberately hostile transport:
 
-**Phase A — chaos drain.**  A seeded
-:class:`~repro.runtime.chaos.ChaosProxy` sits between two workers and
-the coordinator, injecting connection resets, delays past the client
+**Phase A — chaos drain.**  A seeded ``ChaosProxy`` (from the
+test-support module ``scripts/chaos_proxy.py``) sits between two workers
+and the coordinator, injecting connection resets, delays past the client
 timeout, truncated response bodies, and 5xx bursts per a deterministic
 fault schedule.  The campaign must still drain with the merged point
 store byte-identical to the reference, ``recomputed == 0`` in the
@@ -17,13 +17,13 @@ summed ``retries`` must be at least 1 (the retry loop is the worker's
 only fault mechanism, so the run proves it absorbed the faults, not
 luck).
 
-**Phase B — poison quarantine.**  One unit is poisoned via
-``REPRO_CHAOS_POISON_UNITS``: its execution always raises, the worker
-reports each failure to ``/fail``, and after K strikes the coordinator
-quarantines it.  The campaign must drain to a partial-but-honest
-result: coordinator exits 0, the quarantine is journaled and reported,
-and the merged store is byte-identical to the reference *minus* the
-poisoned board's points.
+**Phase B — poison quarantine.**  The worker runs through the poison
+launcher in ``scripts/chaos_proxy.py``, so one unit's execution always
+raises: the worker reports each failure to ``/fail``, and after K
+strikes the coordinator quarantines it.  The campaign must drain to a
+partial-but-honest result: coordinator exits 0, the quarantine is
+journaled and reported, and the merged store is byte-identical to the
+reference *minus* the poisoned board's points.
 
 Usage (CI)::
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import shutil
 import subprocess
@@ -44,7 +43,12 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.runtime.chaos import FAULT_KINDS, POISON_ENV, ChaosProxy, FaultSchedule  # noqa: E402
+from chaos_proxy import (  # noqa: E402
+    FAULT_KINDS,
+    ChaosProxy,
+    FaultSchedule,
+    poison_worker_command,
+)
 
 BENCHMARK = "vggnet"
 WORK_DIR = pathlib.Path(".chaos-smoke")
@@ -61,13 +65,13 @@ def run_cli(*args: str, capture: bool = False) -> subprocess.CompletedProcess:
     )
 
 
-def start_cli(*args: str, env: dict | None = None) -> subprocess.Popen:
+def start_cli(*args: str, launcher: list[str] | None = None) -> subprocess.Popen:
+    """Start one repro CLI command (through ``launcher`` if given)."""
     return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *args],
+        [*(launcher or [sys.executable, "-m", "repro.cli"]), *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
-        env={**os.environ, **(env or {})},
     )
 
 
@@ -101,7 +105,9 @@ def start_coordinator(cache_dir, targets, config_flags, *extra) -> tuple[subproc
     return proc, f"http://{host}:{port}"
 
 
-def start_worker(url: str, cache_dir, worker_id: str, env: dict | None = None) -> subprocess.Popen:
+def start_worker(
+    url: str, cache_dir, worker_id: str, launcher: list[str] | None = None
+) -> subprocess.Popen:
     return start_cli(
         "worker",
         "--connect",
@@ -114,7 +120,7 @@ def start_worker(url: str, cache_dir, worker_id: str, env: dict | None = None) -
         "45",
         "--id",
         worker_id,
-        env=env,
+        launcher=launcher,
     )
 
 
@@ -223,7 +229,9 @@ def phase_b(args, ref_points, config_flags, targets) -> None:
         "--quarantine-strikes",
         "3",
     )
-    worker = start_worker(url, WORK_DIR / "poison-w0", "poison-w0", env={POISON_ENV: poison_unit})
+    worker = start_worker(
+        url, WORK_DIR / "poison-w0", "poison-w0", launcher=poison_worker_command(poison_unit)
+    )
     code, coord_output = finish(coordinator, "poison coordinator")
     if code != 0:
         print(coord_output)

@@ -50,7 +50,6 @@ PUBLIC_MODULES = (
     "repro.runtime.coordinator",
     "repro.runtime.remote_worker",
     "repro.runtime.resilience",
-    "repro.runtime.chaos",
     "repro.runtime.supervisor",
     "repro.runtime.blobs",
     "repro.runtime.shards",

@@ -48,11 +48,9 @@ embarrassingly parallel, cache-friendly workload:
   primitives: :class:`RetryPolicy` (capped exponential backoff with
   deterministic named-RNG jitter), the one retry loop every worker
   request goes through, and the lease-renewal heartbeat; every clock
-  and sleep is injected.
-* :mod:`repro.runtime.chaos` — the deterministic fault injector: a
-  seeded TCP proxy (resets, delays, truncations, 5xx bursts on a
-  reproducible schedule) and the poison-unit hook, proving the
-  resilience layer against known fault sequences in CI's chaos smoke.
+  and sleep is injected.  CI's chaos smoke proves it against known
+  fault sequences from a seeded fault-injecting proxy, which is test
+  support (``scripts/chaos_proxy.py``), not part of the package.
 * :mod:`repro.runtime.supervisor` — ``repro-undervolt workers``: spawn
   and supervise N local worker processes, restarting crashed ones with
   backoff, bounded per slot.

@@ -61,6 +61,16 @@ _MEASUREMENT_FIELDS = tuple(f.name for f in fields(Measurement))
 _MEASUREMENT_KEYS = set(_MEASUREMENT_FIELDS)
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} in point entry")
+
+
+#: The point format's JSON decoder: ``NaN``/``Infinity`` tokens are
+#: corruption (no reader could serve them as JSON).  Module-level, since
+#: a per-call ``json.loads(parse_constant=...)`` builds a decoder each time.
+_POINT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def measurement_to_payload(measurement: Measurement) -> dict:
     """Full-precision JSON-able snapshot of one measurement.
 
@@ -249,10 +259,11 @@ def parse_point_entry(text: str, fingerprint: str) -> PointEntry:
     """Parse one point file's text, stored under ``fingerprint``.
 
     The one validator of the point format (reads, index scans, merges of
-    shipped entries); raises ``ValueError`` naming the first problem.
+    shipped entries); raises ``ValueError`` naming the first problem.  A
+    ``NaN`` or ``Infinity`` token anywhere in the text is such a problem.
     """
     try:
-        payload = json.loads(text)
+        payload = _POINT_DECODER.decode(text)
         if not _ENTRY_KEYS <= set(payload):
             raise ValueError("point payload missing keys")
         if payload["fingerprint"] != fingerprint:

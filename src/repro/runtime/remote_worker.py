@@ -80,7 +80,6 @@ from repro.errors import ReproError
 from repro.runtime.blobs import BlobStore, check_blob_name
 from repro.runtime.cache import ResultCache, result_to_payload
 from repro.runtime.campaign import run_campaign, run_sweep_campaign
-from repro.runtime.chaos import PoisonedUnitError, poison_units
 from repro.runtime.hashing import current_version, point_fingerprinter
 from repro.runtime.plan import ExecutionPlan, config_from_wire
 from repro.runtime.points import PointCache
@@ -408,10 +407,6 @@ def run_worker(
             )
             try:
                 with heartbeat:
-                    # The chaos smoke's deterministic stand-in for a unit
-                    # that crashes its worker (REPRO_CHAOS_POISON_UNITS).
-                    if unit_id in poison_units():
-                        raise PoisonedUnitError(f"unit {unit_id!r} is poisoned for this run")
                     if unit["kind"] == "sweep":
                         outcome = run_sweep_campaign(
                             unit["benchmark"],

@@ -1,5 +1,7 @@
 """Chaos-layer tests: schedule determinism, proxy faults, client taxonomy.
 
+The fault injector is test support (``scripts/chaos_proxy.py``), reached
+through a ``sys.path`` insert as ``scripts/chaos_smoke.py`` reaches it.
 The proxy tests run a minimal in-process HTTP upstream and drive it
 through :class:`ChaosProxy` with :class:`FixedSchedule` plans, then
 assert the worker-side :class:`CoordinatorClient` classifies each fault
@@ -9,21 +11,23 @@ resets and delays are :class:`CoordinatorUnreachable`.
 """
 
 import json
+import pathlib
 import socket
+import sys
 import threading
 
 import pytest
 
-from repro.runtime.chaos import (
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "scripts"))
+
+from chaos_proxy import (  # noqa: E402
     FAULT_KINDS,
     ChaosProxy,
     FaultPlan,
     FaultSchedule,
     FixedSchedule,
-    PoisonedUnitError,
-    poison_units,
 )
-from repro.runtime.remote_worker import (
+from repro.runtime.remote_worker import (  # noqa: E402
     CoordinatorClient,
     CoordinatorUnreachable,
     TransientProtocolError,
@@ -75,17 +79,6 @@ class TestFaultSchedule:
         assert schedule.plan(0).kind == "pass"
         assert schedule.plan(1).kind == "reset"
         assert schedule.plan(2).kind == "pass"
-
-
-class TestPoisonUnits:
-    def test_reads_env_per_call(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS_POISON_UNITS", raising=False)
-        assert poison_units() == frozenset()
-        monkeypatch.setenv("REPRO_CHAOS_POISON_UNITS", "u1, sweep:vgg:board1 ,")
-        assert poison_units() == frozenset({"u1", "sweep:vgg:board1"})
-
-    def test_error_type_is_a_runtime_error(self):
-        assert issubclass(PoisonedUnitError, RuntimeError)
 
 
 class _Upstream:

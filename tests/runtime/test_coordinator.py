@@ -282,7 +282,8 @@ class TestCoordinatorHTTP:
         assert run["completed"] == 1
 
     @pytest.mark.parametrize(
-        "tamper", ["wrong-context", "drifted-measurement", "no-result", "nan-wall-time"]
+        "tamper",
+        ["wrong-context", "drifted-measurement", "nan-accuracy", "no-result", "nan-wall-time"],
     )
     def test_invalid_completion_is_refused_before_the_board_completes(self, tmp_path, tamper):
         """A completion the stores would refuse answers 400 and changes
@@ -305,6 +306,10 @@ class TestCoordinatorHTTP:
             if tamper == "wrong-context":
                 # Parses and keeps its name, but no longer hashes to it.
                 entry["context"]["board"] = 1
+            elif tamper == "nan-accuracy":
+                # Hashes to its name (the fingerprint covers only the
+                # context), but no reader could serve it as JSON.
+                entry["measurement"]["accuracy"] = float("nan")
             else:
                 entry["measurement"]["drifted_field"] = 0.0
             del bad["points"][fp]

@@ -326,6 +326,22 @@ class TestCorruption:
         assert fresh.stats.corrupt == 1
         assert not victim.exists()
 
+    def test_non_finite_numbers_treated_as_corrupt(self, tmp_path, workload):
+        """``json.loads`` accepts ``NaN``/``Infinity``; the point format
+        does not, since no reader could serve such a measurement as JSON."""
+        cache = PointCache(tmp_path / "points")
+        sweep(fresh_session(workload), CFG, cache)
+        victim = next(p for p in cache.entries() if '"hang": false' in p.read_text())
+        payload = json.loads(victim.read_text())
+        for value in (float("nan"), float("inf"), float("-inf")):
+            payload["measurement"]["accuracy"] = value
+            victim.write_text(json.dumps(payload))
+            assert read_point_entry(victim) is None
+        fresh = PointCache(tmp_path / "points")
+        assert fresh.load(victim.stem) is None
+        assert fresh.stats.corrupt == 1
+        assert not victim.exists()
+
 
 class TestGridAdaptiveProperty:
     @settings(max_examples=12, deadline=None)

@@ -13,6 +13,7 @@ from repro.core.experiment import ExperimentConfig
 from repro.runtime.coordinator import (
     CampaignCoordinator,
     LeaseBoard,
+    make_coordinator,
 )
 from repro.runtime.journal import CampaignJournal, ResumeStats
 
@@ -157,6 +158,50 @@ class TestCoordinatorQuarantine:
         finally:
             coordinator.shutdown()
             thread.join(timeout=5.0)
+
+    def test_worker_reports_a_crashing_unit_until_quarantined(self, tmp_path, monkeypatch):
+        """A unit whose execution raises goes to ``/fail`` and the worker
+        leases on: the other unit completes, the crashing one strikes out,
+        and the worker drains."""
+        from repro.runtime import remote_worker
+        from repro.runtime.campaign import sweep_unit_id
+
+        poisoned = sweep_unit_id("vggnet", 1)
+        real = remote_worker.run_sweep_campaign
+
+        def crashing(benchmark, boards, *args, **kwargs):
+            if sweep_unit_id(benchmark, boards[0]) == poisoned:
+                raise RuntimeError(f"{poisoned} crashes its worker")
+            return real(benchmark, boards, *args, **kwargs)
+
+        monkeypatch.setattr(remote_worker, "run_sweep_campaign", crashing)
+        coordinator = make_coordinator(
+            [sweep_unit_id("vggnet", 0), poisoned],
+            tmp_path / "coord",
+            config=CFG,
+            linger_s=30.0,
+            quarantine_strikes=3,
+        )
+        thread = coordinator.start_in_thread()
+        try:
+            url = "http://%s:%s" % coordinator.server_address
+            stats = remote_worker.run_worker(url, tmp_path / "w", worker_id="w")
+            client = remote_worker.CoordinatorClient(url)
+            status = json.loads(client._request("GET", "/status").decode("utf-8"))
+        finally:
+            coordinator.shutdown()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert stats.units_failed == 3
+        assert stats.unit_ids == [sweep_unit_id("vggnet", 0)]
+        assert stats.stopped == "drained"
+        assert status["board"]["units"]["quarantined"] == 1
+        assert list(status["board"]["quarantined"]) == [poisoned]
+        record = coordinator.journal.campaign(coordinator.campaign_id)
+        quarantined = [u for u in record["units"].values() if u.get("status") == "quarantined"]
+        assert len(quarantined) == 1 and "crashes its worker" in quarantined[0]["error"]
+        assert record["runs"][-1]["quarantined"] == 1
+        assert record["runs"][-1]["completed"] == 1
 
     def test_drained_with_quarantine_counts_as_drained(self, tmp_path):
         board = LeaseBoard(_units(2), ttl_s=10.0, clock=FakeClock(), quarantine_strikes=1)

@@ -75,6 +75,23 @@ class TestIndexBuild:
         finally:
             bad.unlink()
 
+    def test_non_finite_point_is_corrupt_not_served(self, warm_cache, index):
+        """A ``NaN`` in a stored measurement counts as corruption: the
+        board's ``points`` answer stays renderable as JSON."""
+        store = PointCache(warm_cache / "points")
+        victim = next(p for p in store.entries() if '"hang": false' in p.read_text())
+        original = victim.read_text()
+        payload = json.loads(original)
+        payload["measurement"]["accuracy"] = float("nan")
+        victim.write_text(json.dumps(payload))
+        try:
+            rebuilt = open_index(warm_cache, config=CONFIG)
+            assert rebuilt.stats()["points"]["corrupt_skipped"] == 1
+            assert rebuilt.stats()["points"]["alive"] == index.stats()["points"]["alive"] - 1
+            to_json(rebuilt.points("vggnet", board=payload["context"]["board"]))
+        finally:
+            victim.write_text(original)
+
     def test_open_encodes_the_config_once(self, warm_cache, monkeypatch):
         """The scan binds one fingerprinter, not one config encoding per point."""
         calls = []
