@@ -6,7 +6,10 @@ Drives the real CLI processes (``repro-undervolt coordinate`` /
 exists to absorb — a worker dying mid-campaign — and holds the
 distributed result to the single-host bar:
 
-1. a single-host serial sweep builds the reference cache;
+1. a single-host serial sweep builds the reference cache, and an
+   unrelated ``alexnet`` sweep under the same config seeds the store of
+   worker "doomed" (a worker ships only the points its units touched,
+   so those must never reach the merged store);
 2. a coordinator starts with every board's sweep unit, over a cache
    dir seeded with the reference cache's model plane (``blobs/``);
 3. the script itself leases one unit as worker "ghost" and never
@@ -115,6 +118,10 @@ def main() -> int:
 
     print(f"[1/5] single-host serial reference sweep ({args.boards} boards)")
     run_cli(*sweep_flags, "--cache-dir", str(ref_cache))
+    doomed_cache = WORK_DIR / "doomed"
+    seed_flags = ["sweep", "alexnet", "--board", "0", *config_flags]
+    run_cli(*seed_flags, "--cache-dir", str(doomed_cache), capture=True)
+    print(f"  seeded the doomed worker's store with {len(point_bytes(doomed_cache))} alexnet points")
 
     print("[2/5] starting coordinator over the reference model plane")
     shutil.copytree(ref_cache / "blobs", coord_cache / "blobs")
@@ -158,7 +165,7 @@ def main() -> int:
         "--connect",
         url,
         "--cache-dir",
-        str(WORK_DIR / "doomed"),
+        str(doomed_cache),
         "--id",
         "doomed",
     )

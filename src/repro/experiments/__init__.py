@@ -1,13 +1,11 @@
 """Experiment registry: one runner per paper table/figure.
 
-Populated by the per-experiment modules; ``REGISTRY`` maps experiment ids
-("table1", "fig3", ...) to runner callables, and ``SPECS`` additionally
-carries each experiment's shard metadata for the campaign runtime
-(:mod:`repro.runtime`).
+Populated by the per-experiment modules; ``SPECS`` maps experiment ids
+("table1", "fig3", ...) to their runner callables and shard metadata for
+the campaign runtime (:mod:`repro.runtime`).
 """
 
 from repro.experiments.registry import (
-    REGISTRY,
     SPECS,
     ExperimentResult,
     ExperimentSpec,
@@ -18,7 +16,6 @@ from repro.experiments.registry import (
 )
 
 __all__ = [
-    "REGISTRY",
     "SPECS",
     "ExperimentResult",
     "ExperimentSpec",

@@ -22,9 +22,10 @@ class ExperimentResult:
 
     ``rows`` are table-shaped records; ``summary`` carries the headline
     scalars compared against the paper; ``notes`` records deviations.
-    ``merge_state`` is scratch data a shard hands to its plan's merge hook
-    (raw per-board landmark lists and the like); it is never rendered and
-    never cached.
+    ``merge_state`` is scratch data a task hands to its parent (raw
+    per-board landmark lists for its plan's merge hook; under ``"points"``
+    the fingerprints of the voltage points it touched); it is never
+    rendered and never cached.
     """
 
     experiment_id: str
@@ -77,8 +78,6 @@ class ExperimentSpec:
     shards: ShardPlan | None = None
 
 
-#: experiment id -> runner(config) -> ExperimentResult (legacy surface).
-REGISTRY: dict[str, Runner] = {}
 #: experiment id -> full spec (runner + shard plan).
 SPECS: dict[str, ExperimentSpec] = {}
 
@@ -92,7 +91,6 @@ def register(experiment_id: str, *, shards: ShardPlan | None = None):
         SPECS[experiment_id] = ExperimentSpec(
             experiment_id=experiment_id, runner=func, shards=shards
         )
-        REGISTRY[experiment_id] = func
         return func
 
     return _wrap
@@ -176,12 +174,16 @@ def run_unit(
     from repro.runtime.points import maybe_point_scope
 
     spec = get_spec(experiment_id)
-    with maybe_blob_plane(blob_root), maybe_point_scope(point_root):
+    with maybe_blob_plane(blob_root), maybe_point_scope(point_root) as points:
         if shard_key is None:
-            return spec.runner(config)
-        if spec.shards is None:
+            result = spec.runner(config)
+        elif spec.shards is None:
             raise ValueError(f"experiment {experiment_id!r} has no shard plan")
-        return spec.shards.run(tuple(shard_key), config)
+        else:
+            result = spec.shards.run(tuple(shard_key), config)
+    if points is not None:
+        result.merge_state["points"] = sorted(points.touched)
+    return result
 
 
 def list_experiments() -> list[str]:

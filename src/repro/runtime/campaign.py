@@ -134,6 +134,10 @@ class CampaignEntry:
     wall_s: float
     n_shards: int
     worker: str  # "cache" | "serial" | "pool" | "serial-fallback"
+    #: Fingerprints of the voltage points a fresh run loaded or stored,
+    #: sorted.  Empty for a cache hit, without a point store, and for
+    #: point-dispatched sweeps (remote workers never dispatch points).
+    points: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -348,6 +352,7 @@ class _CampaignRun:
         def finalize(unit: _PendingUnit) -> None:
             mine = [o for o in unit.outcomes if o is not None]
             wall_s = sum(o.wall_s for o in mine)
+            points = {fp for o in mine for fp in o.value.merge_state.get("points", ())}
             unit.entry = CampaignEntry(
                 experiment_id=unit.unit_id,
                 fingerprint=ledger.fingerprints[unit.unit_id],
@@ -356,6 +361,7 @@ class _CampaignRun:
                 wall_s=wall_s,
                 n_shards=len(unit.tasks),
                 worker=mine[0].worker if mine else "serial",
+                points=tuple(sorted(points)),
             )
 
         def on_complete(flat_index: int, outcome: TaskOutcome) -> None:
@@ -483,9 +489,12 @@ def run_sweep_unit(
     with maybe_blob_plane(blob_root):
         board = make_board(sample=board_sample, cal=config.cal)
         session = make_session(board, benchmark, config)
-        with maybe_point_scope(point_root):
+        with maybe_point_scope(point_root) as points:
             sweep = VoltageSweep(session, config).run()
-    return _sweep_result(benchmark, board_sample, sweep)
+    result = _sweep_result(benchmark, board_sample, sweep)
+    if points is not None:
+        result.merge_state["points"] = sorted(points.touched)
+    return result
 
 
 def measure_round_task(

@@ -35,7 +35,8 @@ Workers activate a store per work unit via :func:`point_scope` (a
 context-local, so process pools and in-process runs behave identically);
 the sweep engine picks it up through :func:`cached_round_measure`, the
 one round executor every sweep round runs through, in-process or on a
-worker.
+worker, and which records in :attr:`PointCache.touched` the points a
+unit needs: exactly those a remote worker ships for it.
 Corrupt entries are deleted and recomputed, never propagated, and writes
 are atomic (temp file + rename), so parallel workers can share one store.
 """
@@ -43,6 +44,7 @@ are atomic (temp file + rename), so parallel workers can share one store.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
@@ -65,10 +67,17 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token} in point entry")
 
 
-#: The point format's JSON decoder: ``NaN``/``Infinity`` tokens are
-#: corruption (no reader could serve them as JSON).  Module-level, since
-#: a per-call ``json.loads(parse_constant=...)`` builds a decoder each time.
-_POINT_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"number {literal} overflows in point entry")
+    return value
+
+
+#: The point format's JSON decoder: non-finite numbers (``NaN``, ``Infinity``,
+#: ``1e400``) are corruption (no reader could serve them as JSON).  Module-level,
+#: since a per-call ``json.loads(...)`` builds a decoder each time.
+_POINT_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
 def measurement_to_payload(measurement: Measurement) -> dict:
@@ -117,6 +126,9 @@ class PointCache(EntryStore):
         #: Scan counters: files served from the memo vs re-read.
         self.scan_fast_hits = 0
         self.scan_rereads = 0
+        #: Fingerprints :func:`cached_round_measure` computed under this
+        #: store — each one loaded or stored, so each names a file on disk.
+        self.touched: set[str] = set()
 
     def path_for(self, fingerprint: str) -> Path:
         """On-disk location of one point entry."""
@@ -185,6 +197,10 @@ class PointCache(EntryStore):
         atomic_write_text(path, text)
         self.stats.stores += 1
         return True
+
+    def texts(self, fingerprints) -> dict[str, str]:
+        """Raw file text of each named entry, keyed by fingerprint."""
+        return {fp: self.path_for(fp).read_text() for fp in fingerprints}
 
     def entries(self) -> list[Path]:
         """All point files currently on disk (sorted by name for determinism)."""
@@ -260,7 +276,7 @@ def parse_point_entry(text: str, fingerprint: str) -> PointEntry:
 
     The one validator of the point format (reads, index scans, merges of
     shipped entries); raises ``ValueError`` naming the first problem.  A
-    ``NaN`` or ``Infinity`` token anywhere in the text is such a problem.
+    non-finite number (``NaN``, ``Infinity``, ``1e400``) is such a problem.
     """
     try:
         payload = _POINT_DECODER.decode(text)
@@ -308,10 +324,10 @@ def active_point_cache() -> PointCache | None:
 
 @contextmanager
 def point_scope(cache: PointCache):
-    """Bind a point store for the duration of a work unit."""
+    """Bind a point store for the duration of a work unit; yields it."""
     token = _ACTIVE_CACHE.set(cache)
     try:
-        yield
+        yield cache
     finally:
         _ACTIVE_CACHE.reset(token)
 
@@ -385,7 +401,9 @@ def cached_round_measure(
 
         def keys(v_mv: float) -> tuple[str, dict]:
             context = point_context(session, v_mv, f_mhz)
-            return fingerprint_of(context), context
+            fingerprint = fingerprint_of(context)
+            cache.touched.add(fingerprint)
+            return fingerprint, context
 
         def write_back(v_mv, fingerprint, context, measurement) -> None:
             if cache is None:

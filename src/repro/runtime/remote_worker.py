@@ -22,14 +22,12 @@ compute.  Each cycle it
    :func:`~repro.runtime.campaign.run_sweep_campaign` for a board sweep,
    both on the worker's one :class:`~repro.runtime.fabric.WorkerFabric`
    — so it shards, caches and writes the same local point store exactly
-   as a single-host campaign does; a unit its local content-addressed
-   cache already holds comes straight back as a cache hit (the
-   fingerprint embeds config and version, so skew cannot smuggle stale
-   bytes); and
-4. **posts** the result plus the raw text of every local point entry
-   under the leased config to ``POST /complete`` for the coordinator to
-   merge (an entry an earlier completion shipped is shipped again, and
-   the coordinator skips it).
+   as a single-host campaign does (every lease executes: a result hit
+   cannot name the unit's points, so the worker drops its local result
+   entry first, and points already stored replay); and
+4. **posts** the result plus the raw text of exactly the point entries
+   the unit touched (:attr:`~repro.runtime.campaign.CampaignEntry.points`)
+   to ``POST /complete`` for the coordinator to merge.
 
 The transport assumes faults (:mod:`repro.runtime.resilience`): every
 request to the coordinator retries through one loop
@@ -80,7 +78,7 @@ from repro.errors import ReproError
 from repro.runtime.blobs import BlobStore, check_blob_name
 from repro.runtime.cache import ResultCache, result_to_payload
 from repro.runtime.campaign import run_campaign, run_sweep_campaign
-from repro.runtime.hashing import current_version, point_fingerprinter
+from repro.runtime.hashing import current_version
 from repro.runtime.plan import ExecutionPlan, config_from_wire
 from repro.runtime.points import PointCache
 from repro.runtime.resilience import (
@@ -219,8 +217,6 @@ class WorkerStats:
     worker_id: str
     units_completed: int = 0
     units_duplicate: int = 0
-    #: Leased units answered from the local result cache without executing.
-    units_from_cache: int = 0
     #: Units whose execution raised (reported to ``/fail``).
     units_failed: int = 0
     #: Completions the coordinator refused because the unit quarantined.
@@ -242,7 +238,6 @@ class WorkerStats:
             "worker_id": self.worker_id,
             "units_completed": self.units_completed,
             "units_duplicate": self.units_duplicate,
-            "units_from_cache": self.units_from_cache,
             "units_failed": self.units_failed,
             "units_quarantined": self.units_quarantined,
             "blobs_synced": self.blobs_synced,
@@ -269,28 +264,6 @@ def sync_blobs(client: CoordinatorClient, blob_root: Path) -> int:
     except ValueError as exc:
         raise WorkerError(f"coordinator listed an {exc}") from None
     return sum(store.write_raw(name, client.fetch_blob(name)) for name in missing)
-
-
-def _collect_points(points: PointCache, config) -> dict[str, str]:
-    """Raw text of every local point entry measured under ``config``.
-
-    Shipped verbatim so the coordinator can merge files byte-identical
-    to the worker's (and, by determinism, to a single-host run's).  A
-    worker's cache may hold points measured under another config
-    (another seed, say) or version, so only entries whose fingerprint
-    recomputes under the leased config and this version are shipped.
-    No entry names the unit that measured it, so this ships every
-    matching point the worker holds, earlier units' included.
-    ``points`` lives as long as the worker, so its scan memo serves
-    every file an earlier completion already parsed; only the matches
-    are read again.
-    """
-    fingerprint_of = point_fingerprinter(config, current_version())
-    return {
-        entry.fingerprint: path.read_text()
-        for path, entry in points.scan()
-        if entry is not None and fingerprint_of(entry.context) == entry.fingerprint
-    }
 
 
 def run_worker(
@@ -394,13 +367,12 @@ def run_worker(
                     "release; upgrade it (each worker's --jobs sets how it runs)"
                 )
 
-            # Trust-on-boot: the fingerprint embeds config and version
-            # (both already validated), so a locally cached unit comes
-            # back from the campaign as a hit and needs no blobs.
-            if not cache.path_for(fingerprint).exists():
-                # Blob sync is pull-only and skips existing files, so
-                # retrying the whole pass after a mid-sync fault is safe.
-                stats.blobs_synced += _post(lambda: sync_blobs(client, cache.blob_root), "blobs")
+            # A local result hit cannot name the points the unit needs, so
+            # every lease executes; its points replay from the local store.
+            cache.invalidate(fingerprint)
+            # Blob sync is pull-only and skips existing files, so retrying
+            # the whole pass after a mid-sync fault is safe.
+            stats.blobs_synced += _post(lambda: sync_blobs(client, cache.blob_root), "blobs")
             heartbeat = LeaseHeartbeat(
                 lambda: client.renew(unit_id, lease_id).get("status") == "renewed",
                 ttl_s=ttl_s,
@@ -439,7 +411,6 @@ def run_worker(
             finally:
                 stats.lease_renewals += heartbeat.renewals
             (entry,) = outcome.entries
-            stats.units_from_cache += entry.cache_hit
 
             verdict = _post(
                 lambda: client.complete(
@@ -449,7 +420,7 @@ def run_worker(
                         "fingerprint": fingerprint,
                         "wall_s": entry.wall_s,
                         "result": result_to_payload(entry.result),
-                        "points": _collect_points(points, config),
+                        "points": points.texts(entry.points),
                     }
                 ),
                 "complete",
@@ -469,16 +440,15 @@ def run_worker(
                 raise WorkerError(f"coordinator rejected {unit_id!r}: {verdict!r}")
             if not quiet:
                 print(
-                    f"[{worker_id}] {unit_id}: {verdict.get('status')} "
-                    f"({entry.wall_s:.2f}s{', cached' if entry.cache_hit else ''})",
+                    f"[{worker_id}] {unit_id}: {verdict.get('status')} ({entry.wall_s:.2f}s)",
                     flush=True,
                 )
         else:
             stats.stopped = "max-units"
     except RETRYABLE:
         # One request failed for the whole retry budget.  A finished
-        # unit's result is safe in the local cache; if the campaign still
-        # needs it, it re-leases (a cache hit here).
+        # unit's points are safe in the local store; if the campaign still
+        # needs the unit, it re-leases and replays them.
         stats.stopped = "unreachable"
     finally:
         if fabric is not None:

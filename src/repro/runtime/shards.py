@@ -9,9 +9,10 @@ the callable is resolved from the registry inside the worker.
 
 Below the scheduling atom sits the *caching* atom: a sweep-shaped unit
 decomposes further into voltage points, each cached individually by
-:mod:`repro.runtime.points` under the owning experiment's id alone —
-never the shard key, because how the planner cut the experiment
-(``jobs``) is an execution detail and must not move cache keys.
+:mod:`repro.runtime.points` under what was measured — the point's
+context and the point-relevant config — never the experiment or the
+shard key, because how the planner cut the experiment (``jobs``) is an
+execution detail and must not move cache keys.
 The planner never enumerates points up front — a sweep discovers its
 point set as it runs (the crash voltage, and for the adaptive strategy
 the bisection path, are not known a priori) — but every point it does

@@ -33,7 +33,6 @@ def _register(experiment_id, *, shards=None):
 
     def _undo():
         registry.SPECS.pop(experiment_id, None)
-        registry.REGISTRY.pop(experiment_id, None)
 
     def _decorate(func):
         registry.register(experiment_id, shards=shards)(func)
@@ -348,3 +347,46 @@ class TestSweepCampaign:
         # distinct boards produce distinct landmarks -> distinct keys
         assert cold.entries[0].fingerprint != cold.entries[1].fingerprint
         assert cold.entries[0].result.summary["crash_mv"] is not None
+
+
+class TestEntryPoints:
+    """``CampaignEntry.points`` names exactly the point files a cold run
+    writes: the set a remote worker ships for the unit."""
+
+    CFG = ExperimentConfig(repeats=1, samples=8)
+
+    @staticmethod
+    def _files(cache: ResultCache) -> tuple[str, ...]:
+        return tuple(sorted(p.stem for p in cache.point_root.glob("*.json")))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fig3_points_are_the_files_a_cold_run_writes(self, tmp_path, jobs):
+        cache = ResultCache(tmp_path / "c")
+        cold = run_campaign(["fig3"], self.CFG, ExecutionPlan(jobs=jobs), cache=cache)
+        (entry,) = cold.entries
+        assert entry.points and entry.points == self._files(cache)
+
+        assert cache.invalidate(entry.fingerprint)
+        rerun = run_campaign(["fig3"], self.CFG, ExecutionPlan(jobs=jobs), cache=cache)
+        assert rerun.entries[0].points == entry.points
+        warm = run_campaign(["fig3"], self.CFG, ExecutionPlan(jobs=jobs), cache=cache)
+        assert warm.entries[0].cache_hit and warm.entries[0].points == ()
+
+    def test_unit_dispatched_sweep_points_are_its_files(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        (entry,) = run_sweep_campaign("vggnet", [0], self.CFG, cache=cache).entries
+        assert entry.points and entry.points == self._files(cache)
+
+        # A second board's unit names its own points, not the first's.
+        (other,) = run_sweep_campaign("vggnet", [1], self.CFG, cache=cache).entries
+        assert set(other.points) == set(self._files(cache)) - set(entry.points)
+
+        assert cache.invalidate(entry.fingerprint)
+        (rerun,) = run_sweep_campaign("vggnet", [0], self.CFG, cache=cache).entries
+        assert rerun.points == entry.points
+
+    def test_point_dispatched_sweep_names_no_points(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        plan = ExecutionPlan(jobs=1, dispatch="point")
+        (entry,) = run_sweep_campaign("vggnet", [0], self.CFG, plan, cache=cache).entries
+        assert self._files(cache) and entry.points == ()

@@ -283,7 +283,14 @@ class TestCoordinatorHTTP:
 
     @pytest.mark.parametrize(
         "tamper",
-        ["wrong-context", "drifted-measurement", "nan-accuracy", "no-result", "nan-wall-time"],
+        [
+            "wrong-context",
+            "drifted-measurement",
+            "nan-accuracy",
+            "overflow-accuracy",
+            "no-result",
+            "nan-wall-time",
+        ],
     )
     def test_invalid_completion_is_refused_before_the_board_completes(self, tmp_path, tamper):
         """A completion the stores would refuse answers 400 and changes
@@ -306,14 +313,15 @@ class TestCoordinatorHTTP:
             if tamper == "wrong-context":
                 # Parses and keeps its name, but no longer hashes to it.
                 entry["context"]["board"] = 1
-            elif tamper == "nan-accuracy":
+            elif tamper in ("nan-accuracy", "overflow-accuracy"):
                 # Hashes to its name (the fingerprint covers only the
                 # context), but no reader could serve it as JSON.
-                entry["measurement"]["accuracy"] = float("nan")
+                entry["measurement"]["accuracy"] = "@accuracy"
             else:
                 entry["measurement"]["drifted_field"] = 0.0
+            literal = "1e400" if tamper == "overflow-accuracy" else "NaN"
             del bad["points"][fp]
-            bad["points"][fp] = json.dumps(entry)
+            bad["points"][fp] = json.dumps(entry).replace('"@accuracy"', literal)
         conn = http.client.HTTPConnection(*coordinator.server_address, timeout=30)
         status, answer = _exchange(conn, "POST", "/complete", body=json.dumps(bad).encode())
         conn.close()
@@ -631,22 +639,76 @@ class TestPooledWorker:
         assert run["completed"] == 2 and run["recomputed"] == 0
 
 
-class TestCollectPoints:
-    def test_second_collection_reads_no_unchanged_file(self, tmp_path):
-        """The worker keeps one point cache, so a later completion parses
-        only files it has not seen, and ships the same bytes."""
-        from repro.runtime.points import PointCache
-        from repro.runtime.remote_worker import _collect_points
+def _spy_on_completions(monkeypatch) -> list[dict]:
+    """Record every ``/complete`` payload a worker posts."""
+    posted = []
+    complete = CoordinatorClient.complete
 
-        cache = ResultCache(tmp_path / "w")
-        run_sweep_campaign("vggnet", [0], CFG, cache=cache)
-        points = PointCache(cache.point_root)
-        first = _collect_points(points, CFG)
-        parsed = points.scan_rereads
-        assert first and parsed == len(points.entries())
-        assert _collect_points(points, CFG) == first
-        assert _collect_points(points, CFG.with_overrides(seed=7)) == {}
-        assert points.scan_rereads == parsed
+    def spy(self, payload):
+        posted.append(payload)
+        return complete(self, payload)
+
+    monkeypatch.setattr(CoordinatorClient, "complete", spy)
+    return posted
+
+
+def _point_files(cache: ResultCache) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in cache.point_root.glob("*.json")}
+
+
+class TestWorkerShipsWhatItsUnitTouched:
+    def test_points_of_an_unrelated_sweep_stay_home(self, tmp_path, monkeypatch):
+        """A worker whose store holds another benchmark's sweep under the
+        same config ships only the leased unit's points."""
+        worker_cache = ResultCache(tmp_path / "worker")
+        run_sweep_campaign("alexnet", [2], CFG, cache=worker_cache)
+        alexnet = {p.stem for p in worker_cache.point_root.glob("*.json")}
+        serial_cache = ResultCache(tmp_path / "serial-cache")
+        run_sweep_campaign("vggnet", [0], CFG, cache=serial_cache)
+
+        posted = _spy_on_completions(monkeypatch)
+        coordinator, thread, url = _start_coordinator(tmp_path, ["sweep:vggnet:board0"])
+        stats = run_worker(url, worker_cache.root, worker_id="w0")
+        thread.join(timeout=30)
+        assert stats.stopped == "drained" and coordinator.drained
+
+        assert alexnet and not alexnet & {fp for p in posted for fp in p["points"]}
+        serial_points = _point_files(serial_cache)
+        assert serial_points and _point_files(coordinator.cache) == serial_points
+
+    def test_one_worker_ships_each_point_once(self, tmp_path, monkeypatch):
+        """Draining three boards, every posted entry is new to the
+        coordinator: nothing an earlier completion shipped is re-posted."""
+        targets = [sweep_unit_id("vggnet", board) for board in range(3)]
+        posted = _spy_on_completions(monkeypatch)
+        coordinator, thread, url = _start_coordinator(tmp_path, targets)
+        stats = run_worker(url, tmp_path / "worker", worker_id="w0")
+        thread.join(timeout=60)
+        assert stats.stopped == "drained" and stats.units_completed == 3
+
+        status = coordinator._status_payload()
+        assert [p["unit_id"] for p in posted] == targets
+        assert sum(len(p["points"]) for p in posted) == status["points_written"] > 0
+        assert status["points_skipped"] == 0
+        assert status["points_written"] == len(_point_files(coordinator.cache))
+
+    def test_cached_result_is_executed_again_and_ships_its_points(self, tmp_path, monkeypatch):
+        """A worker whose store already holds the leased result re-runs
+        the unit (its points replay from the store) and ships them."""
+        worker_cache = ResultCache(tmp_path / "worker")
+        run_campaign(["fig3"], CFG, cache=worker_cache)
+        serial_points = _point_files(worker_cache)
+
+        posted = _spy_on_completions(monkeypatch)
+        coordinator, thread, url = _start_coordinator(tmp_path, ["fig3"])
+        stats = run_worker(url, worker_cache.root, worker_id="w0")
+        thread.join(timeout=60)
+        assert stats.stopped == "drained" and stats.units_completed == 1
+
+        (payload,) = posted
+        assert {f"{fp}.json" for fp in payload["points"]} == set(serial_points)
+        assert serial_points and _point_files(coordinator.cache) == serial_points
+        assert _point_files(worker_cache) == serial_points
 
 
 class _ScriptedClient:

@@ -37,7 +37,6 @@ def two_experiments():
     yield CALLS
     for name in CALLS:
         registry.SPECS.pop(f"zz_{name}", None)
-        registry.REGISTRY.pop(f"zz_{name}", None)
 
 
 class TestCampaignFingerprint:

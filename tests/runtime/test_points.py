@@ -327,15 +327,16 @@ class TestCorruption:
         assert not victim.exists()
 
     def test_non_finite_numbers_treated_as_corrupt(self, tmp_path, workload):
-        """``json.loads`` accepts ``NaN``/``Infinity``; the point format
-        does not, since no reader could serve such a measurement as JSON."""
+        """``json.loads`` accepts ``NaN``/``Infinity`` and reads ``1e400``
+        as ``inf``; the point format does not, since no reader could serve
+        such a measurement as JSON."""
         cache = PointCache(tmp_path / "points")
         sweep(fresh_session(workload), CFG, cache)
         victim = next(p for p in cache.entries() if '"hang": false' in p.read_text())
         payload = json.loads(victim.read_text())
-        for value in (float("nan"), float("inf"), float("-inf")):
-            payload["measurement"]["accuracy"] = value
-            victim.write_text(json.dumps(payload))
+        payload["measurement"]["accuracy"] = "@accuracy"
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400", "-1e400"):
+            victim.write_text(json.dumps(payload).replace('"@accuracy"', literal))
             assert read_point_entry(victim) is None
         fresh = PointCache(tmp_path / "points")
         assert fresh.load(victim.stem) is None

@@ -76,19 +76,21 @@ class TestIndexBuild:
             bad.unlink()
 
     def test_non_finite_point_is_corrupt_not_served(self, warm_cache, index):
-        """A ``NaN`` in a stored measurement counts as corruption: the
-        board's ``points`` answer stays renderable as JSON."""
+        """A ``NaN``, or a literal that overflows a float, in a stored
+        measurement counts as corruption: the board's ``points`` answer
+        stays renderable as JSON."""
         store = PointCache(warm_cache / "points")
         victim = next(p for p in store.entries() if '"hang": false' in p.read_text())
         original = victim.read_text()
         payload = json.loads(original)
-        payload["measurement"]["accuracy"] = float("nan")
-        victim.write_text(json.dumps(payload))
+        payload["measurement"]["accuracy"] = "@accuracy"
         try:
-            rebuilt = open_index(warm_cache, config=CONFIG)
-            assert rebuilt.stats()["points"]["corrupt_skipped"] == 1
-            assert rebuilt.stats()["points"]["alive"] == index.stats()["points"]["alive"] - 1
-            to_json(rebuilt.points("vggnet", board=payload["context"]["board"]))
+            for literal in ("NaN", "1e400"):
+                victim.write_text(json.dumps(payload).replace('"@accuracy"', literal))
+                rebuilt = open_index(warm_cache, config=CONFIG)
+                assert rebuilt.stats()["points"]["corrupt_skipped"] == 1
+                assert rebuilt.stats()["points"]["alive"] == index.stats()["points"]["alive"] - 1
+                to_json(rebuilt.points("vggnet", board=payload["context"]["board"]))
         finally:
             victim.write_text(original)
 
